@@ -79,9 +79,11 @@ def _divide_by_one_minus_t(p: IntPolynomial) -> IntPolynomial:
     """Exact quotient p / (1-t); requires p(1) == 0.
 
     If p = (1-t) q then q's coefficients are the prefix sums of p's, and
-    the final prefix sum p(1) vanishes.
+    the final prefix sum p(1) vanishes.  Callers only divide after checking
+    p(1) == 0, so a nonzero p(1) is an internal error, not bad input.
     """
-    assert p(1) == 0, "polynomial is not divisible by 1-t"
+    if p(1) != 0:
+        raise ArithmeticError("polynomial is not divisible by 1-t")
     out = []
     acc = 0
     for c in p.coefficients[:-1]:

@@ -16,6 +16,14 @@ has every prefix colon generated in minimum degree exactly one, which is
 the shellability witness the Cohen-Macaulay verdict rests on.  A failed
 certificate only condemns the ordering, never the ring, so the verdict
 falls back to "inconclusive" rather than "not CM".
+
+When all generators share one degree (every facet ideal does), the prefix
+colon at m_p has mindeg 1 exactly when some exchange m_p - x + y, for x in
+m_p and y outside it, is an earlier generator; the certificate and its
+replay then look exchanges up in a dict from generator mask to position
+instead of scanning every earlier generator.  The per-step scan still runs
+for ideals of mixed degrees and, on a failing step, to report the true
+mindeg.
 """
 
 import itertools
@@ -70,8 +78,14 @@ class VariablePrime:
 
 
 def facet_ideal(c: SimplicialComplex) -> MonomialIdeal:
-    """Generators are the facets, read as square-free supports."""
-    return MonomialIdeal.of(c.facets, c.ground_size)
+    """Generators are the facets, read as square-free supports.
+
+    The complex has already rejected duplicate and nested facets, so the
+    facets are a minimal generating system as they stand; they only need
+    the (size, value) order that MonomialIdeal.of gives.
+    """
+    gens = sorted(c.facets, key=lambda f: (len(f), f.mask))
+    return MonomialIdeal(c.ground_size, tuple(gens))
 
 
 def minimal_vertex_covers_oracle(
@@ -205,6 +219,44 @@ class QuotientCertificate:
     witnesses: tuple[int, ...]
 
 
+def _scan_step(earlier: list[int], m: int) -> tuple[int, int | None]:
+    """Mindeg of (earlier : m) by scanning every earlier generator, with
+    the smallest witness variable when the mindeg is 1."""
+    best = None
+    best_var = None
+    for g in earlier:
+        d = g & ~m
+        size = d.bit_count()
+        if best is None or size < best:
+            best = size
+            best_var = (d & -d).bit_length() - 1 if size == 1 else None
+        elif size == 1 == best:
+            best_var = min(best_var, d.bit_length() - 1)
+    return best, best_var
+
+
+def _bits(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _exchange_witness(
+    position: dict[int, int], m: int, p: int, ground: int
+) -> int | None:
+    """Smallest y outside m such that m - x + y, for some x in m, is a
+    generator placed before position p; None when no exchange hits."""
+    inside = _bits(m)
+    for y in range(ground):
+        if not m >> y & 1:
+            grown = m | 1 << y
+            if any(position.get(grown ^ 1 << x, p) < p for x in inside):
+                return y
+    return None
+
+
+def _one_degree(gens) -> bool:
+    return len({len(g) for g in gens}) <= 1
+
+
 def quasi_linear_certificate(
     ideal: MonomialIdeal, ordering
 ) -> QuotientCertificate:
@@ -213,6 +265,13 @@ def quasi_linear_certificate(
     Raises CertificateFails at the first position where the prefix colon's
     minimum degree is not 1.  Success returns the smallest witness variable
     for every step.
+
+    With generators of one degree, distinct generators never nest, so the
+    colon has mindeg 1 exactly when an exchange m_p - x + y is an earlier
+    generator, and its smallest witness is the smallest such y.  Each step
+    tries y ascending and x over m_p against a dict of positions, about
+    |m_p| (n - |m_p|) lookups.  Only a step with no hit (to report its true
+    mindeg) and an ideal of mixed degrees scan the earlier generators.
     """
     gens = ideal.generators
     ordering = tuple(ordering)
@@ -220,36 +279,43 @@ def quasi_linear_certificate(
         raise ValueError("ordering is not a permutation of the generators")
     if not gens:
         raise EmptyIdeal("certificate needs at least one generator")
+    masks = [gens[i].mask for i in ordering]
+    position = {m: p for p, m in enumerate(masks)} if _one_degree(gens) else None
     witnesses: list[int] = []
-    for p in range(2, len(gens) + 1):
-        m = gens[ordering[p - 1]]
-        best = None
-        best_var = None
-        for q in range(p - 1):
-            d = gens[ordering[q]] - m
-            size = len(d)
-            if best is None or size < best:
-                best = size
-                best_var = min(d.indices()) if size == 1 else None
-            elif size == 1 == best:
-                best_var = min(best_var, min(d.indices()))
-        if best != 1:
-            raise CertificateFails(p, best)
-        witnesses.append(best_var)
+    for p in range(1, len(masks)):
+        m = masks[p]
+        var = None
+        if position is not None:
+            var = _exchange_witness(position, m, p, ideal.ground_size)
+        if var is None:
+            best, var = _scan_step(masks[:p], m)
+            if best != 1:
+                raise CertificateFails(p + 1, best)
+        witnesses.append(var)
     return QuotientCertificate(ordering, tuple(witnesses))
 
 
 def replay_certificate(ideal: MonomialIdeal, cert: QuotientCertificate) -> bool:
     """Re-verify a certificate from scratch: v * m_p must be a member of
-    the ideal of the earlier generators, for every step."""
+    the ideal of the earlier generators, for every step.  An ordering that
+    is not a permutation of the generators certifies nothing.
+
+    With generators of one degree k, the only generators that can divide
+    the k+1 variables of v * m_p are (m_p + v) - x for x in it, so
+    membership is |m_p| + 1 position lookups; mixed degrees scan.
+    """
     gens = ideal.generators
-    for p in range(2, len(cert.ordering) + 1):
-        v = cert.witnesses[p - 2]
-        target = gens[cert.ordering[p - 1]].mask | 1 << v
-        if not any(
-            gens[cert.ordering[q]].mask & target == gens[cert.ordering[q]].mask
-            for q in range(p - 1)
-        ):
+    if sorted(cert.ordering) != list(range(len(gens))):
+        return False
+    masks = [gens[i].mask for i in cert.ordering]
+    position = {m: p for p, m in enumerate(masks)} if _one_degree(gens) else None
+    for p in range(1, len(masks)):
+        target = masks[p] | 1 << cert.witnesses[p - 1]
+        if position is not None:
+            hit = any(position.get(target ^ 1 << x, p) < p for x in _bits(target))
+        else:
+            hit = any(g & target == g for g in masks[:p])
+        if not hit:
             return False
     return True
 

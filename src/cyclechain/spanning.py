@@ -17,9 +17,9 @@ maximal consecutive runs; each run merges its cycles into one composite
 block, every untouched cycle is a block of its own, and a valid removal
 takes exactly one non-shared edge from each block's composite cycle.
 
-Everything the characterization produces is re-checked against the generic
-definition, and the test suite holds it to set equality with the
-brute-force enumeration and to the determinant count.
+Distinct removal sets leave distinct trees, so the characterization
+yields each tree exactly once; the test suite holds it to set equality
+with the brute-force enumeration and to the determinant count.
 """
 
 import itertools
@@ -133,8 +133,7 @@ def enumerate_trees_characterized(g: ChainGraph) -> SpanningTreeSet:
     """All spanning trees via the removal-set classes."""
     commons = g.common_edge_indices
     full = g.full_mask
-    tag_rank = {tag: i for i, tag in enumerate(CLASS_TAGS)}
-    found: dict[int, tuple[str, int]] = {}
+    found: list[tuple[int, int, str]] = []
 
     for wsub in range(1 << (g.r - 1)):
         removed_js = [j + 1 for j in range(g.r - 1) if wsub >> j & 1]
@@ -147,20 +146,12 @@ def enumerate_trees_characterized(g: ChainGraph) -> SpanningTreeSet:
             removed = wmask
             for e in picks:
                 removed |= 1 << e
-            kept = full ^ removed
-            assert is_spanning_tree(g, g.edge_set(kept)), (
-                f"characterization produced a non-tree for {g!r}"
-            )
-            prev = found.get(kept)
-            if prev is None or tag_rank[tag] < tag_rank[prev[0]]:
-                found[kept] = (tag, removed)
+            found.append((full ^ removed, removed, tag))
 
-    kept_sorted = sorted(found)
-    trees = tuple(g.edge_set(k) for k in kept_sorted)
-    removals = tuple(
-        TreeRemoval(g.edge_set(found[k][1]), found[k][0]) for k in kept_sorted
-    )
-    by_class = Counter(tag for tag, _ in found.values())
+    found.sort()
+    trees = tuple(g.edge_set(kept) for kept, _, _ in found)
+    removals = tuple(TreeRemoval(g.edge_set(removed), tag) for _, removed, tag in found)
+    by_class = Counter(tag for _, _, tag in found)
     return SpanningTreeSet(
         trees, {tag: by_class[tag] for tag in CLASS_TAGS if by_class[tag]}, removals
     )

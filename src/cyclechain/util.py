@@ -1,17 +1,14 @@
 """Exact integer helpers used by the counting formulas."""
 
-_pascal: list[list[int]] = [[1]]
+import math
 
 
 def binom(a: int, b: int) -> int:
     """Binomial coefficient under the boundary convention used throughout.
 
     Returns 0 whenever b < 0 or b > a, and C(a, 0) = 1 for every a >= 0.
-    Values come from a cached Pascal triangle, so arithmetic stays exact.
+    Values come from math.comb, so arithmetic stays exact.
     """
     if b < 0 or b > a:
         return 0
-    while len(_pascal) <= a:
-        prev = _pascal[-1]
-        _pascal.append([1] + [prev[i] + prev[i + 1] for i in range(len(prev) - 1)] + [1])
-    return _pascal[a][b]
+    return math.comb(a, b)

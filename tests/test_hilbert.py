@@ -12,7 +12,7 @@ from cyclechain import (
     hilbert_function_oracle,
     hilbert_series,
 )
-from cyclechain.hilbert import one_minus_t_power
+from cyclechain.hilbert import _divide_by_one_minus_t, one_minus_t_power
 from cyclechain.util import binom
 
 
@@ -115,3 +115,12 @@ def test_numerator_nonnegative_on_sample():
         s = hilbert_series(f_vector_exact(build_chain_graph(r, m, t)))
         assert all(c >= 0 for c in s.numerator.coefficients)
         assert s.denom_power == build_chain_graph(r, m, t).num_vertices - 1
+
+
+def test_division_by_one_minus_t_is_exact_or_an_internal_error():
+    assert _divide_by_one_minus_t(IntPolynomial.of([1, -1])).coefficients == (1,)
+    # 1 + t has p(1) = 2: not a multiple of 1-t, and not a ValueError,
+    # which the CLI would report as invalid input
+    with pytest.raises(ArithmeticError) as exc:
+        _divide_by_one_minus_t(IntPolynomial.of([1, 1]))
+    assert not isinstance(exc.value, ValueError)

@@ -10,11 +10,13 @@ from cyclechain import (
     MonomialIdeal,
     QuotientCertificate,
     VariablePrime,
+    build_chain_graph,
     cohen_macaulay_verdict,
     colon_mindeg,
     covers_lemma41,
     enumerate_trees_characterized,
     facet_ideal,
+    family_instances,
     intersect_primes,
     minimal_vertex_covers_oracle,
     paper_ordering,
@@ -209,6 +211,15 @@ def test_replay_catches_tampering(fig1):
     assert not replay_certificate(ideal, forged)
 
 
+def test_replay_rejects_an_ordering_that_is_not_a_permutation(fig1):
+    ideal = facet_ideal(spanning_complex(fig1))
+    cert = quasi_linear_certificate(ideal, paper_ordering(fig1))
+    repeated = (cert.ordering[1],) + cert.ordering[1:]
+    assert not replay_certificate(ideal, QuotientCertificate(repeated, cert.witnesses))
+    short = QuotientCertificate(cert.ordering[:-1], cert.witnesses[:-1])
+    assert not replay_certificate(ideal, short)
+
+
 def test_any_shuffle_within_blocks_works(fig1):
     # ties inside a block are arbitrary, so permuting them must not
     # break the quotient property
@@ -231,3 +242,89 @@ def test_cm_verdict(fig1, triangle, chain3):
         assert replay_certificate(
             facet_ideal(spanning_complex(g)), verdict.certificate
         )
+
+
+def _reference_certificate(ideal, ordering):
+    """The quadratic scan: every earlier generator, one EdgeSet difference
+    each.  Returns ("ok", witnesses) or ("fails", step, mindeg)."""
+    gens = ideal.generators
+    witnesses = []
+    for p in range(2, len(gens) + 1):
+        m = gens[ordering[p - 1]]
+        best = None
+        best_var = None
+        for q in range(p - 1):
+            d = gens[ordering[q]] - m
+            size = len(d)
+            if best is None or size < best:
+                best = size
+                best_var = min(d.indices()) if size == 1 else None
+            elif size == 1 == best:
+                best_var = min(best_var, min(d.indices()))
+        if best != 1:
+            return "fails", p, best
+        witnesses.append(best_var)
+    return "ok", tuple(witnesses)
+
+
+def _reference_replay(ideal, ordering, witnesses):
+    gens = [ideal.generators[i].mask for i in ordering]
+    for p in range(1, len(gens)):
+        target = gens[p] | 1 << witnesses[p - 1]
+        if not any(g & target == g for g in gens[:p]):
+            return False
+    return True
+
+
+def _certificate(ideal, ordering):
+    try:
+        return "ok", quasi_linear_certificate(ideal, ordering).witnesses
+    except CertificateFails as e:
+        return "fails", e.step, e.mindeg
+
+
+def test_exchange_lookup_matches_the_scan_on_the_family():
+    for r, m, t in family_instances(3, 5, 1):
+        g = build_chain_graph(r, m, t)
+        ideal = facet_ideal(spanning_complex(g))
+        order = paper_ordering(g)
+        cert = quasi_linear_certificate(ideal, order)
+        assert ("ok", cert.witnesses) == _reference_certificate(ideal, order)
+        assert replay_certificate(ideal, cert)
+
+
+def test_exchange_lookup_matches_the_scan_on_random_orderings(fig1):
+    ideal = facet_ideal(spanning_complex(fig1))
+    rng = random.Random(11)
+    failures = 0
+    for _ in range(50):
+        order = list(range(len(ideal)))
+        rng.shuffle(order)
+        expected = _reference_certificate(ideal, order)
+        assert _certificate(ideal, order) == expected
+        if expected[0] == "fails":
+            failures += 1
+            continue
+        forged = tuple(rng.randrange(fig1.n) for _ in expected[1])
+        for witnesses in (expected[1], forged):
+            cert = QuotientCertificate(tuple(order), witnesses)
+            assert replay_certificate(ideal, cert) == _reference_replay(
+                ideal, order, witnesses
+            )
+    assert failures >= 5
+
+
+def test_mixed_degrees_fall_back_to_the_scan():
+    ideal = _ideal(5, [0], [1, 2], [1, 3], [2, 3, 4])
+    cases = {
+        (0, 1, 2, 3): ("ok", (0, 0, 0)),
+        (1, 3, 2, 0): ("fails", 4, 2),
+        (3, 0, 1, 2): ("fails", 2, 3),
+        (1, 2, 3, 0): ("fails", 4, 2),
+    }
+    for order, expected in cases.items():
+        assert _reference_certificate(ideal, order) == expected
+        assert _certificate(ideal, order) == expected
+    cert = quasi_linear_certificate(ideal, (0, 1, 2, 3))
+    assert replay_certificate(ideal, cert)
+    assert not replay_certificate(ideal, QuotientCertificate(cert.ordering, (0, 4, 0)))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from cyclechain import (
@@ -110,9 +112,17 @@ def test_r2_closed_form_needs_two_cycles(triangle, chain3):
 
 
 def test_exact_cap_on_many_cycles():
-    g7 = build_chain_graph(7, [3] * 7, 0)
-    with pytest.raises(SearchSpaceTooLarge):
-        f_vector_exact(g7)
+    # the cap is checked before anything of size 2^tau is allocated
+    for r in (7, 8):
+        g = build_chain_graph(r, [3] * r, 0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SearchSpaceTooLarge):
+                f_vector_exact(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_minimal_nonfaces_are_the_cycles(fig1):
@@ -135,3 +145,4 @@ def test_nonfaces_characterize_faces(triangle, chain3):
             is_face = any(mask & ~f == 0 for f in facets)
             contains_cycle = any(mask & s == s for s in nf)
             assert is_face == (not contains_cycle)
+

@@ -6,6 +6,7 @@ from cyclechain import (
     count_trees_kirchhoff,
     enumerate_trees_characterized,
     enumerate_trees_oracle,
+    family_instances,
     is_spanning_tree,
 )
 from cyclechain.edgeset import EdgeSet
@@ -106,3 +107,14 @@ def test_forest_edges_never_removed(fig1):
     forest = EdgeSet.of(range(6, 10), fig1.n)
     for rm in enumerate_trees_characterized(fig1).removals:
         assert rm.removed.isdisjoint(forest)
+
+
+def test_removal_sets_are_distinct_and_count_the_trees():
+    # the enumeration keeps no dedup step, so the removal sets it generates
+    # must already be pairwise distinct and as many as Kirchhoff's count
+    for r, m, t in family_instances(4, 4, 1):
+        g = build_chain_graph(r, m, t)
+        sts = enumerate_trees_characterized(g)
+        removed = [rm.removed.mask for rm in sts.removals]
+        assert len(set(removed)) == len(removed) == count_trees_kirchhoff(g)
+        assert [g.full_mask ^ k for k in removed] == [s.mask for s in sts.trees]
