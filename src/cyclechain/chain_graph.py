@@ -154,32 +154,50 @@ class ChainGraph:
         return EdgeSet(mask, self.n)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def build_chain_graph(r: int, m, forest=0) -> ChainGraph:
     """Construct the canonical graph for cycle lengths m and a forest.
 
     forest is either an edge count (the default shape is a path of that
-    length hanging from the first vertex of cycle 1) or an explicit list of
-    attachment vertex ids, one per forest edge.  Each forest edge connects
-    its attachment vertex to a fresh vertex, so attachments may also name
-    vertices created by earlier forest edges.
+    length hanging from the first vertex of cycle 1) or an explicit list or
+    tuple of attachment vertex ids, one per forest edge.  Each forest edge
+    connects its attachment vertex to a fresh vertex, so attachments may
+    also name vertices created by earlier forest edges.
+
+    Every number must already be an int: bools, floats and strings are
+    rejected, never coerced.
     """
-    if not isinstance(r, int) or r < 1:
+    if not _is_int(r) or r < 1:
         raise InvalidLength(f"need r >= 1 cycles, got {r!r}")
+    if not isinstance(m, (list, tuple)):
+        raise InvalidLength(f"cycle lengths must be a list, got {m!r}")
     m = tuple(m)
     if len(m) != r:
         raise InvalidLength(f"expected {r} cycle lengths, got {len(m)}")
     for mi in m:
-        if not isinstance(mi, int) or mi < 3:
+        if not _is_int(mi) or mi < 3:
             raise InvalidLength(f"cycle lengths must be integers >= 3, got {mi!r}")
 
-    if isinstance(forest, int):
+    if _is_int(forest):
         if forest < 0:
             raise InvalidLength(f"forest edge count must be >= 0, got {forest}")
         t = forest
         attach_spec = None
-    else:
-        attach_spec = [int(a) for a in forest]
+    elif isinstance(forest, (list, tuple)):
+        attach_spec = list(forest)
+        for k, a in enumerate(attach_spec, start=1):
+            if not _is_int(a):
+                raise BadAttachment(
+                    f"forest edge e_{k} attaches at {a!r}, not a vertex id"
+                )
         t = len(attach_spec)
+    else:
+        raise InvalidLength(
+            f"forest must be an edge count or a list of vertex ids, got {forest!r}"
+        )
 
     n = sum(m) - (r - 1) + t
     if n > MAX_GROUND:

@@ -54,10 +54,12 @@ def _load_graph(args):
         if not isinstance(forest, dict):
             raise ValueError('"forest" must be {"count": k} or {"attach": [...]}')
         if "attach" in forest:
-            forest_arg = list(forest["attach"])
+            forest_arg = forest["attach"]
+            if not isinstance(forest_arg, list):
+                raise BadAttachment('"attach" must be a list of vertex ids')
         else:
-            forest_arg = int(forest.get("count", 0))
-        return build_chain_graph(int(data["r"]), data["m"], forest_arg)
+            forest_arg = forest.get("count", 0)
+        return build_chain_graph(data["r"], data["m"], forest_arg)
     if args.r is None or args.m is None:
         raise ValueError("provide --spec FILE or both --r and --m")
     m = [int(x) for x in args.m.split(",")]

@@ -182,8 +182,12 @@ def hilbert_function_oracle(
         )
         return oracle.count_monomials_supported_on(faces, g.n, degree)
     if degree == 0:
+        return 1  # without counting the faces
+    return _hilbert_function_from_faces(_brute_f_vector(g, cap), degree)
+
+
+def _hilbert_function_from_faces(fv: FVector, degree: int) -> int:
+    """HF(j) = sum_s f_(s-1) C(j-1, s-1) from face counts, HF(0) = 1."""
+    if degree == 0:
         return 1
-    fv = _brute_f_vector(g, cap)
-    return sum(
-        fi * binom(degree - 1, s) for s, fi in enumerate(fv.f)
-    )
+    return sum(fi * binom(degree - 1, s) for s, fi in enumerate(fv.f))

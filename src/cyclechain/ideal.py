@@ -5,7 +5,13 @@ is bitmask arithmetic:
 
   * membership: m is in I iff some generator's support is a subset of m's;
   * colon by a square-free monomial: generator supports minus the monomial's;
-  * intersection of variable primes: one pick per prime, unioned, minimalized.
+  * intersection of variable primes: one pick per prime, unioned, minimal.
+
+The intersection folds one prime P into a minimal family at a time.  A
+generator k that meets P stays as it is; a generator m that misses P grows
+to m | v for every v in P.  Of all these candidates only a kept k can
+divide a grown m | v, and only when v is in k and k - v lies inside m, so
+that one test replaces the all-pairs minimalization of the products.
 
 The decomposition route (predicted minimal covers, intersected as variable
 primes) and the direct facet ideal must produce identical minimal
@@ -125,14 +131,38 @@ def covers_lemma41(g: ChainGraph) -> list[EdgeSet]:
     return covers
 
 
+def _fold_prime(cur: list[int], prime: int) -> list[int]:
+    """The minimal generators of (cur) intersected with the prime whose
+    variables are the bits of prime, for an antichain cur."""
+    kept = [k for k in cur if k & prime]
+    missing = [m for m in cur if not m & prime]
+    rests = [
+        (1 << v, [k ^ 1 << v for k in kept if k >> v & 1]) for v in _bits(prime)
+    ]
+    grown = [
+        m | bit
+        for m in missing
+        for bit, rest in rests
+        if not any(k & m == k for k in rest)
+    ]
+    return kept + grown
+
+
 def intersect_primes(
     primes, ground_size: int, cap: int = 10**6
 ) -> MonomialIdeal:
     """Intersection of variable primes as a square-free monomial ideal.
 
-    Folds one prime in at a time: the products of current generators with
-    the prime's variables, minimalized after every step so intermediate
-    families stay close to the final answer.
+    Folds one prime P in at a time, keeping the family minimal.  A
+    generator k that meets P stays, and every product of it is a multiple
+    of it; a generator m that misses P grows to m | v for each v in P.
+    Kept generators form an antichain, and so do the grown ones: m | v
+    inside m' | v' forces v = v' (P meets m' | v' only in v') and then m
+    inside m'.  A grown m | v never divides a kept k, since then m would
+    lie strictly inside k.  So the one domination left is a kept k inside
+    m | v, which needs v in k (k meets P, m | v only in v) and k - v inside
+    m; each step tests that instead of minimalizing every product against
+    every other.  The cap bounds the products a step would form.
     """
     primes = list(primes)
     if not primes:
@@ -143,9 +173,8 @@ def intersect_primes(
             raise CapacityExceeded(
                 f"prime intersection step would form {len(cur) * len(p.vars)} products"
             )
-        cur = _minimalize(
-            m | 1 << v for m in cur for v in p.vars
-        )
+        cur = _fold_prime(cur, p.vars.mask)
+    cur.sort(key=lambda m: (m.bit_count(), m))
     return MonomialIdeal(
         ground_size, tuple(EdgeSet(m, ground_size) for m in cur)
     )

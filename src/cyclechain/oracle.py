@@ -8,6 +8,7 @@ keeps the two routes to every quantity independent.
 
 import itertools
 import math
+from collections import Counter
 
 from .errors import SearchSpaceTooLarge
 
@@ -130,13 +131,8 @@ def downset_faces(facet_masks, cap: int = 1 << 24) -> set[int]:
 
 def downset_face_counts(facet_masks, cap: int = 1 << 24) -> list[int]:
     """f-vector by literal face enumeration: entry i counts faces of size i+1."""
-    faces = downset_faces(facet_masks, cap)
-    if not faces:
-        return []
-    counts = [0] * max(f.bit_count() for f in faces)
-    for f in faces:
-        counts[f.bit_count() - 1] += 1
-    return counts
+    sizes = Counter(map(int.bit_count, downset_faces(facet_masks, cap)))
+    return [sizes[s] for s in range(1, max(sizes, default=0) + 1)]
 
 
 def _minimal_masks(masks) -> list[int]:

@@ -5,7 +5,7 @@ Seven checks can fail the instance:
     trees          characterized enumeration == brute-force enumeration
     count          tree count == Kirchhoff determinant
     fvector        inclusion-exclusion f-vector == downset enumeration
-    hilbert        series expansion == monomial-count oracle, degrees 0..10
+    hilbert        series expansion == HF(j) from the face counts, degrees 0..10
     covers         predicted minimal covers == exhaustive transversals
     decomposition  intersection of the oracle-cover primes == facet ideal
     cm             quotient certificate succeeds and replays
@@ -15,14 +15,20 @@ drift and the nine-row intersection predictor drift.  A check whose oracle
 would outgrow its cap is reported as skipped, also without failing the
 instance; mismatches are the only fatal status.
 
+Each oracle runs at most once per instance.  The fvector and hilbert
+checks share one face enumeration, and the covers and decomposition checks
+share one cover search, through a per-instance context that keeps each
+answer (or the SearchSpaceTooLarge it raised) for the next check that asks.
+The check that asks first carries the oracle's time in its elapsed.
+
 Every detail payload is plain JSON data so reports can cross process
 boundaries and be emitted verbatim.
 """
 
 import itertools
+import os
 import time
 from dataclasses import dataclass
-from concurrent.futures import ProcessPoolExecutor
 
 from . import hilbert, ideal, oracle, simplicial, spanning
 from .chain_graph import ChainGraph, build_chain_graph, intersection_report
@@ -95,15 +101,59 @@ def _set_diff_detail(g, left_name, left, right_name, right):
     }
 
 
-def _check_trees(g, tree_cap, face_cap):
+class _Context:
+    """One instance's caps and the oracle answers its checks share.
+
+    Each shared answer is computed on first use and kept, a raised
+    SearchSpaceTooLarge included, so a second check reports the same
+    answer or the same skip without running the oracle again.
+    """
+
+    def __init__(self, g: ChainGraph, tree_cap: int, face_cap: int):
+        self.g = g
+        self.tree_cap = tree_cap
+        self.face_cap = face_cap
+        self._answers = {}
+
+    def _once(self, key, compute):
+        if key not in self._answers:
+            try:
+                self._answers[key] = (compute(), None)
+            except SearchSpaceTooLarge as e:
+                self._answers[key] = (None, e)
+        value, error = self._answers[key]
+        if error is not None:
+            raise error
+        return value
+
+    def face_fvector(self) -> simplicial.FVector:
+        """The f-vector counted face by face (downset enumeration)."""
+        return self._once(
+            "faces",
+            lambda: simplicial.f_vector_bruteforce(
+                simplicial.spanning_complex(self.g), self.face_cap
+            ),
+        )
+
+    def oracle_covers(self) -> list[EdgeSet]:
+        """The minimal vertex covers by exhaustive transversal search."""
+        return self._once(
+            "covers",
+            lambda: ideal.minimal_vertex_covers_oracle(
+                simplicial.spanning_complex(self.g)
+            ),
+        )
+
+
+def _check_trees(g, ctx):
     mine = spanning.enumerate_trees_characterized(g).tree_masks()
-    ref = set(oracle.spanning_tree_masks(g.endpoints, g.num_vertices, tree_cap))
+    ref = set(oracle.spanning_tree_masks(g.endpoints, g.num_vertices, ctx.tree_cap))
     if mine == ref:
         return "match", None
     return "mismatch", _set_diff_detail(g, "characterized", mine, "oracle", ref)
 
 
-def _check_count(g, tree_cap, face_cap):
+def _check_count(g, ctx):
     mine = len(spanning.enumerate_trees_characterized(g).trees)
     ref = oracle.kirchhoff_count(g.endpoints, g.num_vertices)
     if mine == ref:
@@ -111,9 +161,9 @@ def _check_count(g, tree_cap, face_cap):
     return "mismatch", {"characterized": mine, "determinant": ref}
 
 
-def _check_fvector(g, tree_cap, face_cap):
+def _check_fvector(g, ctx):
     mine = simplicial.f_vector_exact(g)
-    ref = simplicial.f_vector_bruteforce(simplicial.spanning_complex(g), face_cap)
+    ref = ctx.face_fvector()
     if mine.f == ref.f:
         return "match", None
     bad = next(i for i, (a, b) in enumerate(zip(mine.f, ref.f)) if a != b)
@@ -124,11 +174,12 @@ def _check_fvector(g, tree_cap, face_cap):
     }
 
 
-def _check_hilbert(g, tree_cap, face_cap):
+def _check_hilbert(g, ctx):
     series = hilbert.hilbert_series(simplicial.f_vector_exact(g))
     got = series.expand(HILBERT_DEGREES)
+    faces = ctx.face_fvector()
     want = [
-        hilbert.hilbert_function_oracle(g, j, cap=face_cap)
+        hilbert._hilbert_function_from_faces(faces, j)
         for j in range(HILBERT_DEGREES + 1)
     ]
     if got == want:
@@ -137,22 +188,19 @@ def _check_hilbert(g, tree_cap, face_cap):
     return "mismatch", {"expansion": got, "oracle": want, "witness_degree": bad}
 
 
-def _check_covers(g, tree_cap, face_cap):
-    c = simplicial.spanning_complex(g)
+def _check_covers(g, ctx):
     mine = {s.mask for s in ideal.covers_lemma41(g)}
-    ref = {s.mask for s in ideal.minimal_vertex_covers_oracle(c)}
+    ref = {s.mask for s in ctx.oracle_covers()}
     if mine == ref:
         return "match", None
     return "mismatch", _set_diff_detail(g, "predicted", mine, "oracle", ref)
 
 
-def _check_decomposition(g, tree_cap, face_cap):
-    c = simplicial.spanning_complex(g)
-    covers = ideal.minimal_vertex_covers_oracle(c)
+def _check_decomposition(g, ctx):
     met = ideal.intersect_primes(
-        (ideal.VariablePrime(s) for s in covers), g.n
+        (ideal.VariablePrime(s) for s in ctx.oracle_covers()), g.n
     )
-    direct = ideal.facet_ideal(c)
+    direct = ideal.facet_ideal(simplicial.spanning_complex(g))
     mine = {s.mask for s in met.generators}
     ref = {s.mask for s in direct.generators}
     if mine == ref:
@@ -160,7 +208,7 @@ def _check_decomposition(g, tree_cap, face_cap):
     return "mismatch", _set_diff_detail(g, "intersection", mine, "facet_ideal", ref)
 
 
-def _check_cm(g, tree_cap, face_cap):
+def _check_cm(g, ctx):
     verdict = ideal.cohen_macaulay_verdict(g)
     if not verdict.certified:
         return "mismatch", {
@@ -174,7 +222,7 @@ def _check_cm(g, tree_cap, face_cap):
     return "match", {"steps": len(verdict.certificate.ordering)}
 
 
-def _note_fvector_paper(g, tree_cap, face_cap):
+def _note_fvector_paper(g, ctx):
     cmp = simplicial.f_vector_paper(g)
     if cmp.agree:
         return "match", None
@@ -185,7 +233,7 @@ def _note_fvector_paper(g, tree_cap, face_cap):
     }
 
 
-def _note_intersections(g, tree_cap, face_cap):
+def _note_intersections(g, ctx):
     bad = [p for p in intersection_report(g) if not p.agree]
     if not bad:
         return "match", None
@@ -214,10 +262,10 @@ _RUNNERS = {
 }
 
 
-def _run(name, g, tree_cap, face_cap) -> CheckResult:
+def _run(name, g, ctx) -> CheckResult:
     start = time.perf_counter()
     try:
-        status, detail = _RUNNERS[name](g, tree_cap, face_cap)
+        status, detail = _RUNNERS[name](g, ctx)
     except SearchSpaceTooLarge as e:
         status, detail = "skipped", str(e)
     return CheckResult(name, status, time.perf_counter() - start, detail)
@@ -246,8 +294,9 @@ def verify_instance(
         "n": g.n,
         "attach": list(g.forest_attachments),
     }
-    results = tuple(_run(c, g, tree_cap, face_cap) for c in selected)
-    notes = tuple(_run(nm, g, tree_cap, face_cap) for nm in NOTE_NAMES)
+    ctx = _Context(g, tree_cap, face_cap)
+    results = tuple(_run(c, g, ctx) for c in selected)
+    notes = tuple(_run(nm, g, ctx) for nm in NOTE_NAMES)
     return OracleReport(instance, results, notes)
 
 
@@ -261,6 +310,22 @@ def family_instances(rmax: int, mmax: int, tmax: int):
             for t in range(tmax + 1):
                 out.append((r, m, t))
     return out
+
+
+FAMILY_CHUNKSIZE = 4
+
+
+def _pool_workers(jobs: int, tasks: int, cpus: int) -> int:
+    """Worker processes for jobs requested over tasks work items: never
+    more than the CPUs available or the chunks the items make."""
+    chunks = -(-tasks // FAMILY_CHUNKSIZE)
+    return max(1, min(jobs, cpus, chunks))
+
+
+def _available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _family_worker(args):
@@ -281,13 +346,17 @@ def verify_family(
     """Verify every instance of the family, optionally across processes.
 
     Reports come back in the deterministic family order regardless of
-    worker scheduling.
+    worker scheduling.  The pool gets at most one worker per available CPU
+    and per chunk of work; a single worker runs in this process.
     """
     work = [
         (r, m, t, tuple(checks) if checks is not None else None, tree_cap, face_cap)
         for r, m, t in family_instances(rmax, mmax, tmax)
     ]
-    if jobs <= 1:
+    workers = _pool_workers(jobs, len(work), _available_cpus())
+    if workers == 1:
         return [_family_worker(w) for w in work]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_family_worker, work, chunksize=4))
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_family_worker, work, chunksize=FAMILY_CHUNKSIZE))

@@ -71,6 +71,34 @@ def test_invalid_parameters(r, m, forest):
         build_chain_graph(r, m, forest)
 
 
+@pytest.mark.parametrize(
+    "r, m, forest",
+    [
+        (True, [3], 0),
+        (2.0, [3, 4], 0),
+        ("2", [3, 4], 0),
+        (1, [3.0], 0),
+        (1, [True], 0),
+        (1, ["3"], 0),
+        (1, "3", 0),
+        (1, 3, 0),
+        (1, [3], 1.7),
+        (1, [3], True),
+        (1, [3], "1"),
+        (1, [3], None),
+    ],
+)
+def test_non_int_values_are_rejected(r, m, forest):
+    with pytest.raises(InvalidLength):
+        build_chain_graph(r, m, forest)
+
+
+@pytest.mark.parametrize("attach", [[0.0], [True], ["0"], [0, 1.5], [None]])
+def test_non_int_attachments_are_rejected(attach):
+    with pytest.raises(BadAttachment):
+        build_chain_graph(2, [3, 4], attach)
+
+
 def test_capacity():
     build_chain_graph(1, [64], 0)
     with pytest.raises(CapacityExceeded):

@@ -173,6 +173,32 @@ def test_spec_file_errors(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"r": 2.9, "m": [3, 4], "forest": {"count": 1.7}},
+        {"r": 2.9, "m": [3, 4]},
+        {"r": 2, "m": [3, 4], "forest": {"count": 1.7}},
+        {"r": True, "m": [3]},
+        {"r": "2", "m": [3, 4]},
+        {"r": 2, "m": [3, 4.0]},
+        {"r": 2, "m": "34"},
+        {"r": 2, "m": [3, 4], "forest": {"count": "1"}},
+        {"r": 2, "m": [3, 4], "forest": {"count": False}},
+        {"r": 2, "m": [3, 4], "forest": {"attach": 3}},
+        {"r": 2, "m": [3, 4], "forest": {"attach": [0.5]}},
+        {"r": 2, "m": [3, 4], "forest": {"attach": [0, "1"]}},
+    ],
+)
+def test_spec_values_are_rejected_not_coerced(capsys, tmp_path, spec):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "gen", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_invalid_parameters(capsys):
     code, _, err = run(capsys, "gen", "--r", "0", "--m", "3")
     assert code == 2 and "error:" in err

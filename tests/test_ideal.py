@@ -72,6 +72,88 @@ def test_prime_intersection_small():
         intersect_primes([_prime(4, 0, 1), _prime(4, 2, 3)], 4, cap=1)
 
 
+def _reference_intersection(primes, cap, formed=None):
+    """Every product of the current generators with the prime's variables,
+    minimalized against each other after every prime.  The product count
+    of every step is appended to formed."""
+
+    def minimalize(masks):
+        keep = []
+        for m in sorted(set(masks), key=lambda m: (m.bit_count(), m)):
+            if not any(k & m == k for k in keep):
+                keep.append(m)
+        return keep
+
+    cur = [1 << v for v in primes[0].vars]
+    for p in primes[1:]:
+        if formed is not None:
+            formed.append(len(cur) * len(p.vars))
+        if len(cur) * len(p.vars) > cap:
+            raise CapacityExceeded(
+                f"prime intersection step would form {len(cur) * len(p.vars)} products"
+            )
+        cur = minimalize(m | 1 << v for m in cur for v in p.vars)
+    return cur
+
+
+def _step_products(primes):
+    """The product count every fold step forms, uncapped."""
+    formed = []
+    _reference_intersection(primes, float("inf"), formed)
+    return formed
+
+
+def _assert_folds_agree(primes, ground, caps):
+    for cap in caps:
+        try:
+            got = [s.mask for s in intersect_primes(primes, ground, cap).generators]
+        except CapacityExceeded as e:
+            got = str(e)
+        try:
+            want = _reference_intersection(primes, cap)
+        except CapacityExceeded as e:
+            want = str(e)
+        assert got == want, (cap, [p.vars.mask for p in primes])
+
+
+def test_prime_fold_matches_the_minimalizing_fold_on_the_family():
+    for r, m, t in family_instances(3, 4, 2):
+        g = build_chain_graph(r, m, t)
+        primes = [
+            VariablePrime(s)
+            for s in minimal_vertex_covers_oracle(spanning_complex(g))
+        ]
+        peak = max(_step_products(primes), default=1)
+        _assert_folds_agree(primes, g.n, (10**6, peak, peak - 1))
+
+
+@st.composite
+def prime_lists(draw):
+    """Up to eight primes on at most ten variables; later primes may copy,
+    shrink or grow an earlier one, so duplicated and nested primes occur."""
+    ground = draw(st.integers(1, 10))
+    full = (1 << ground) - 1
+    masks = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("fresh", "copy", "sub", "super")))
+        if not masks or kind == "fresh":
+            mask = draw(st.integers(1, full))
+        else:
+            base = draw(st.sampled_from(masks))
+            other = draw(st.integers(0, full))
+            mask = {"copy": base, "sub": base & other or base, "super": base | other}[kind]
+        masks.append(mask)
+    return ground, [VariablePrime(EdgeSet(m, ground)) for m in masks]
+
+
+@given(prime_lists())
+def test_prime_fold_matches_the_minimalizing_fold(case):
+    ground, primes = case
+    products = _step_products(primes)
+    caps = {10**6} | set(products) | {p - 1 for p in products}
+    _assert_folds_agree(primes, ground, sorted(caps))
+
+
 def test_colon_mindeg_examples():
     ideal = _ideal(3, [0, 1])
     deg, wit = colon_mindeg(ideal, EdgeSet.of([0, 2], 3))

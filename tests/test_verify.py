@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
-from cyclechain import build_chain_graph, verify_family, verify_instance
-from cyclechain.verify import CHECK_NAMES, NOTE_NAMES, family_instances
+from cyclechain import build_chain_graph, oracle, verify, verify_family, verify_instance
+from cyclechain.verify import CHECK_NAMES, NOTE_NAMES, _pool_workers, family_instances
 
 
 def _statuses(report):
@@ -100,3 +104,73 @@ def test_verdict_matches_attachment_shape():
     report = verify_instance(star, checks=("trees", "count", "cm"))
     assert report.ok
     assert report.to_json()["instance"]["attach"] == [0, 0, 0]
+
+
+def _count_calls(monkeypatch, *names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(oracle, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("graph", ["fig1", "chain3"])
+def test_each_shared_oracle_runs_once_per_instance(monkeypatch, request, graph):
+    g = request.getfixturevalue(graph)
+    calls = _count_calls(monkeypatch, "downset_faces", "minimal_hitting_sets")
+    report = verify_instance(g)
+    assert calls == {"downset_faces": 1, "minimal_hitting_sets": 1}
+    statuses = _statuses(report)
+    assert statuses["fvector"] == statuses["hilbert"] == "match"
+    assert statuses["decomposition"] == "match"
+
+
+def test_capped_face_oracle_skips_both_checks_after_one_call(monkeypatch, fig1):
+    calls = _count_calls(monkeypatch, "downset_faces")
+    report = verify_instance(fig1, checks=("fvector", "hilbert"), face_cap=50)
+    assert calls == {"downset_faces": 1}
+    fvector, hilbert = report.checks
+    assert fvector.status == hilbert.status == "skipped"
+    assert fvector.detail == hilbert.detail
+    assert "cap of 50" in fvector.detail
+    assert report.ok
+
+
+def test_pool_workers_are_clamped():
+    assert _pool_workers(2, 120, 2) == 2
+    assert _pool_workers(2, 120, 8) == 2
+    assert _pool_workers(10**9, 120, 2) == 2
+    assert _pool_workers(10**9, 120, 64) == 30
+    assert _pool_workers(10**9, 9, 64) == 3
+    assert _pool_workers(2, 4, 8) == 1
+    assert _pool_workers(2, 5, 1) == 1
+    assert _pool_workers(1, 120, 8) == 1
+    assert _pool_workers(0, 120, 8) == 1
+    assert _pool_workers(-3, 120, 8) == 1
+
+
+def test_pool_over_two_chunks_equals_serial(monkeypatch):
+    monkeypatch.setattr(verify, "_available_cpus", lambda: 2)
+    serial = verify_family(2, 3, 2, checks=("count", "covers"))
+    parallel = verify_family(2, 3, 2, checks=("count", "covers"), jobs=2)
+    assert len(serial) == 6
+    assert [rep.to_json() for rep in serial] == [rep.to_json() for rep in parallel]
+
+
+def test_import_loads_no_process_pool():
+    code = (
+        "import sys, cyclechain; "
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith(('concurrent', 'multiprocessing'))))"
+    )
+    src = os.path.dirname(os.path.dirname(verify.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "[]"
