@@ -328,6 +328,18 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _dispatch_order(work) -> list[int]:
+    """Indices of the work items, most edges first.  The face oracle's
+    search grows with the edge count (sum(m) - (r - 1) + t), so the pool's
+    last chunks are its cheapest and the workers finish together, instead
+    of one running the largest instance while the other waits."""
+    return sorted(
+        range(len(work)),
+        key=lambda i: sum(work[i][1]) - (work[i][0] - 1) + work[i][2],
+        reverse=True,
+    )
+
+
 def _family_worker(args):
     r, m, t, checks, tree_cap, face_cap = args
     g = build_chain_graph(r, m, t)
@@ -347,7 +359,8 @@ def verify_family(
 
     Reports come back in the deterministic family order regardless of
     worker scheduling.  The pool gets at most one worker per available CPU
-    and per chunk of work; a single worker runs in this process.
+    and per chunk of work, and is handed the largest instances first; a
+    single worker runs in this process.
     """
     work = [
         (r, m, t, tuple(checks) if checks is not None else None, tree_cap, face_cap)
@@ -358,5 +371,12 @@ def verify_family(
         return [_family_worker(w) for w in work]
     from concurrent.futures import ProcessPoolExecutor
 
+    order = _dispatch_order(work)
+    reports = [None] * len(work)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_family_worker, work, chunksize=FAMILY_CHUNKSIZE))
+        done = pool.map(
+            _family_worker, [work[i] for i in order], chunksize=FAMILY_CHUNKSIZE
+        )
+        for i, report in zip(order, done):
+            reports[i] = report
+    return reports

@@ -5,7 +5,13 @@ import sys
 import pytest
 
 from cyclechain import build_chain_graph, oracle, verify, verify_family, verify_instance
-from cyclechain.verify import CHECK_NAMES, NOTE_NAMES, _pool_workers, family_instances
+from cyclechain.verify import (
+    CHECK_NAMES,
+    NOTE_NAMES,
+    _dispatch_order,
+    _pool_workers,
+    family_instances,
+)
 
 
 def _statuses(report):
@@ -152,6 +158,15 @@ def test_pool_workers_are_clamped():
     assert _pool_workers(1, 120, 8) == 1
     assert _pool_workers(0, 120, 8) == 1
     assert _pool_workers(-3, 120, 8) == 1
+
+
+def test_dispatch_order_hands_out_the_largest_graphs_first():
+    work = [(r, m, t, None, 0, 0) for r, m, t in family_instances(3, 4, 2)]
+    order = _dispatch_order(work)
+    assert sorted(order) == list(range(len(work)))
+    edges = [sum(work[i][1]) - (work[i][0] - 1) + work[i][2] for i in order]
+    assert edges == sorted(edges, reverse=True)
+    assert work[order[0]][:3] == (3, (4, 4, 4), 2)
 
 
 def test_pool_over_two_chunks_equals_serial(monkeypatch):
