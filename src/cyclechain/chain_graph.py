@@ -60,7 +60,7 @@ class ChainGraph:
 
     Instances are only built through build_chain_graph, which also runs the
     structural validation.  Equality and hashing use the defining data
-    (r, m, forest attachments), so graphs work as cache keys.
+    (r, m, forest attachments), so graphs work as dict keys.
     """
 
     def __init__(

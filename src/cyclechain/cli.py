@@ -1,13 +1,14 @@
 """Command-line front end.
 
 One subcommand per library operation, JSON on stdout, diagnostics on
-stderr.  Exit codes: 0 success, 2 invalid input, 3 capacity exceeded,
-4 certificate failure, 5 cross-check mismatch.  All stdout is
-deterministic for a fixed command line; timings go to stderr.
+stderr.  Exit codes: 0 success, 1 stdout closed early, 2 invalid input,
+3 capacity exceeded, 4 certificate failure, 5 cross-check mismatch.  All
+stdout is deterministic for a fixed command line; timings go to stderr.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from . import hilbert, ideal, simplicial, spanning, verify
@@ -24,10 +25,13 @@ from .errors import (
 from .verify import labels_of
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_INVALID = 2
 EXIT_CAPACITY = 3
 EXIT_CERTIFICATE = 4
 EXIT_MISMATCH = 5
+
+MAX_EXPAND = 10_000
 
 
 def _graph_flags() -> argparse.ArgumentParser:
@@ -50,15 +54,21 @@ def _load_graph(args):
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError("graph spec must be a JSON object")
+        unknown = sorted(set(data) - {"r", "m", "forest"})
+        if unknown:
+            raise ValueError(f"unknown graph spec keys {unknown}; valid: r, m, forest")
+        for key in ("r", "m"):
+            if key not in data:
+                raise ValueError(f'graph spec is missing "{key}"')
         forest = data.get("forest", {"count": 0})
-        if not isinstance(forest, dict):
+        if not isinstance(forest, dict) or list(forest) not in (["count"], ["attach"]):
             raise ValueError('"forest" must be {"count": k} or {"attach": [...]}')
         if "attach" in forest:
             forest_arg = forest["attach"]
             if not isinstance(forest_arg, list):
                 raise BadAttachment('"attach" must be a list of vertex ids')
         else:
-            forest_arg = forest.get("count", 0)
+            forest_arg = forest["count"]
         return build_chain_graph(data["r"], data["m"], forest_arg)
     if args.r is None or args.m is None:
         raise ValueError("provide --spec FILE or both --r and --m")
@@ -171,6 +181,10 @@ def cmd_fvector(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
+    if args.expand > MAX_EXPAND:
+        raise CapacityExceeded(
+            f"--expand {args.expand} exceeds the limit of {MAX_EXPAND}"
+        )
     g = _load_graph(args)
     series = hilbert.hilbert_series(simplicial.f_vector_exact(g))
     obj = {
@@ -226,13 +240,12 @@ def cmd_decompose(args) -> int:
 def cmd_certify(args) -> int:
     g = _load_graph(args)
     fi = ideal.facet_ideal(simplicial.spanning_complex(g))
-    order = ideal.paper_ordering(g)
-    removals = spanning.enumerate_trees_characterized(g).removals
-    cert = ideal.quasi_linear_certificate(fi, order)
+    cert = ideal.quasi_linear_certificate(fi, ideal.paper_ordering(g, fi))
     replayed = ideal.replay_certificate(fi, cert)
+    full = g.edge_set(g.full_mask)
     obj = {
         "steps": len(cert.ordering),
-        "ordering": [labels_of(g, removals[i].removed) for i in cert.ordering],
+        "ordering": [labels_of(g, full ^ fi.generators[i]) for i in cert.ordering],
         "ordering_indices": list(cert.ordering),
         "witnesses": [str(g.label_of(v)) for v in cert.witnesses],
         "replayed": replayed,
@@ -359,7 +372,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away; flushing again at exit would raise once
+        # more, so the rest of the output goes to devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (CapacityExceeded, SearchSpaceTooLarge) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAPACITY
@@ -372,7 +393,6 @@ def main(argv=None) -> int:
         IndexOutOfRange,
         EmptyIdeal,
         ValueError,
-        KeyError,
         OSError,
         json.JSONDecodeError,
     ) as e:

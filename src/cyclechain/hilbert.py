@@ -6,7 +6,6 @@ produces: H = 1 + sum_i f_i t^(i+1) / (1-t)^(i+1).
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import oracle
 from .chain_graph import ChainGraph
@@ -159,35 +158,35 @@ def hilbert_series(fv: FVector) -> RationalSeries:
     return RationalSeries.normalized(num, d + 1)
 
 
-@lru_cache(maxsize=None)
-def _brute_f_vector(g: ChainGraph, cap: int) -> FVector:
-    return f_vector_bruteforce(spanning_complex(g), cap)
-
-
 def hilbert_function_oracle(
-    g: ChainGraph, degree: int, literal: bool = False, cap: int = 1 << 24
-) -> int:
-    """Dimension of the degree-j piece of the face ring, independently.
+    g: ChainGraph, upto: int, literal: bool = False, cap: int = 1 << 24
+) -> list[int]:
+    """[HF(0), ..., HF(upto)] for the face ring, independently, from one
+    pass over the faces.
 
     A degree-j monomial survives iff its support is a face; there are
     C(j-1, s-1) monomials of degree j with a given support of size s, so
     HF(j) = sum_s f_(s-1) C(j-1, s-1) and HF(0) = 1.  With literal=True the
     monomials are enumerated one by one instead (tiny inputs only).
     """
-    if degree < 0:
-        raise ValueError(f"need a degree >= 0, got {degree}")
+    if upto < 0:
+        raise ValueError(f"need a degree >= 0, got {upto}")
+    if upto == 0:
+        return [1]  # without counting the faces
+    c = spanning_complex(g)
     if literal:
-        faces = oracle.downset_faces(
-            [tr.mask for tr in spanning_complex(g).facets], cap
-        )
-        return oracle.count_monomials_supported_on(faces, g.n, degree)
-    if degree == 0:
-        return 1  # without counting the faces
-    return _hilbert_function_from_faces(_brute_f_vector(g, cap), degree)
+        faces = oracle.downset_faces([tr.mask for tr in c.facets], cap)
+        return [
+            oracle.count_monomials_supported_on(faces, g.n, j)
+            for j in range(upto + 1)
+        ]
+    return _hilbert_function_from_faces(f_vector_bruteforce(c, cap), upto)
 
 
-def _hilbert_function_from_faces(fv: FVector, degree: int) -> int:
-    """HF(j) = sum_s f_(s-1) C(j-1, s-1) from face counts, HF(0) = 1."""
-    if degree == 0:
-        return 1
-    return sum(fi * binom(degree - 1, s) for s, fi in enumerate(fv.f))
+def _hilbert_function_from_faces(fv: FVector, upto: int) -> list[int]:
+    """HF(j) = sum_s f_(s-1) C(j-1, s-1) from face counts for j = 0..upto,
+    with HF(0) = 1."""
+    return [1] + [
+        sum(fi * binom(j - 1, s) for s, fi in enumerate(fv.f))
+        for j in range(1, upto + 1)
+    ]

@@ -38,8 +38,7 @@ from dataclasses import dataclass
 from .chain_graph import ChainGraph
 from .edgeset import EdgeSet
 from .errors import CapacityExceeded, CertificateFails, EmptyIdeal
-from .simplicial import SimplicialComplex, spanning_complex
-from .spanning import enumerate_trees_characterized
+from .simplicial import SimplicialComplex
 from . import oracle
 
 
@@ -201,38 +200,39 @@ def colon_mindeg(
     return mindeg, tuple(EdgeSet(w, ideal.ground_size) for w in witnesses)
 
 
-def paper_ordering(g: ChainGraph) -> list[int]:
-    """Generator ordering by removal-set blocks.
+def paper_ordering(g: ChainGraph, ideal: MonomialIdeal) -> list[int]:
+    """Ordering of the facet ideal's generators by removal-set blocks.
 
-    Block 0 is the single tree whose removal is every shared edge plus the
-    first edge of the last cycle.  Every other removal is ranked by how
-    long a leading run of shared edges it removes: the full run of r-1
-    comes right after block 0, then progressively shorter runs, with trees
-    removing no shared edge last.  Ties inside a block go by the removal's
-    label tuple.  With one cycle this degenerates to label order.
+    Returns positions in ideal.generators.  Each generator is a spanning
+    tree of g, and its removal set is the rest of g's edges.  Block 0 is
+    the single tree whose removal is every shared edge plus the first edge
+    of the last cycle.  Every other removal is ranked by how long a leading
+    run of shared edges it removes: the full run of r-1 comes right after
+    block 0, then progressively shorter runs, with trees removing no shared
+    edge last.  Ties inside a block go by the removal's label tuple.  With
+    one cycle this degenerates to label order.
     """
-    sts = enumerate_trees_characterized(g)
     commons_mask = 0
     for idx in g.common_edge_indices:
         commons_mask |= 1 << idx
     head = commons_mask | 1 << g.cycle_offsets[g.r - 1]
 
-    def block(removed: EdgeSet) -> int:
-        if removed.mask == head:
+    def block(removed: int) -> int:
+        if removed == head:
             return 0
         run = 0
         for idx in g.common_edge_indices:
-            if idx in removed:
+            if removed >> idx & 1:
                 run += 1
             else:
                 break
         return 1 if run == g.r - 1 else g.r - run
 
-    order = sorted(
-        range(len(sts.trees)),
-        key=lambda i: (block(sts.removals[i].removed), sts.removals[i].removed.indices()),
+    removals = [g.full_mask ^ gen.mask for gen in ideal.generators]
+    return sorted(
+        range(len(removals)),
+        key=lambda i: (block(removals[i]), _bits(removals[i])),
     )
-    return order
 
 
 @dataclass(frozen=True)
@@ -358,15 +358,15 @@ class CMVerdict:
     failed_mindeg: int | None = None
 
 
-def cohen_macaulay_verdict(g: ChainGraph) -> CMVerdict:
-    """Purity plus a successful quotient certificate on the block ordering.
+def cohen_macaulay_verdict(g: ChainGraph, ideal: MonomialIdeal) -> CMVerdict:
+    """Purity plus a successful quotient certificate on the block ordering
+    of ideal, the facet ideal of g's spanning complex.
 
     Shellability through one ordering is sufficient but not necessary, so
     a failed certificate yields "inconclusive", never a negative.
     """
-    ideal = facet_ideal(spanning_complex(g))
     try:
-        cert = quasi_linear_certificate(ideal, paper_ordering(g))
+        cert = quasi_linear_certificate(ideal, paper_ordering(g, ideal))
     except CertificateFails as e:
         return CMVerdict(
             certified=False,

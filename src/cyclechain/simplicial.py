@@ -21,7 +21,6 @@ suite holds to exact agreement.
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import oracle
 from .chain_graph import ChainGraph, all_cycles, composite_length, intersection_formula
@@ -89,7 +88,6 @@ class FVector:
         return len(self.f)
 
 
-@lru_cache(maxsize=None)
 def spanning_complex(g: ChainGraph) -> SimplicialComplex:
     """The complex whose facets are the spanning trees of g."""
     trees = enumerate_trees_characterized(g).trees

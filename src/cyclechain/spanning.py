@@ -25,7 +25,6 @@ with the brute-force enumeration and to the determinant count.
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import oracle
 from .chain_graph import ChainGraph
@@ -128,7 +127,6 @@ def _block_choices(g: ChainGraph, runs: list[tuple[int, int]]) -> list[list[int]
     return blocks
 
 
-@lru_cache(maxsize=None)
 def enumerate_trees_characterized(g: ChainGraph) -> SpanningTreeSet:
     """All spanning trees via the removal-set classes."""
     commons = g.common_edge_indices

@@ -30,7 +30,7 @@ import os
 import time
 from dataclasses import dataclass
 
-from . import hilbert, ideal, oracle, simplicial, spanning
+from . import hilbert, ideal, oracle, simplicial
 from .chain_graph import ChainGraph, build_chain_graph, intersection_report
 from .edgeset import EdgeSet
 from .errors import SearchSpaceTooLarge
@@ -102,7 +102,8 @@ def _set_diff_detail(g, left_name, left, right_name, right):
 
 
 class _Context:
-    """One instance's caps and the oracle answers its checks share.
+    """One instance's caps, its spanning complex and facet ideal, and the
+    oracle answers its checks share.
 
     Each shared answer is computed on first use and kept, a raised
     SearchSpaceTooLarge included, so a second check reports the same
@@ -110,9 +111,10 @@ class _Context:
     """
 
     def __init__(self, g: ChainGraph, tree_cap: int, face_cap: int):
-        self.g = g
         self.tree_cap = tree_cap
         self.face_cap = face_cap
+        self.complex = simplicial.spanning_complex(g)
+        self.ideal = ideal.facet_ideal(self.complex)
         self._answers = {}
 
     def _once(self, key, compute):
@@ -130,23 +132,19 @@ class _Context:
         """The f-vector counted face by face (downset enumeration)."""
         return self._once(
             "faces",
-            lambda: simplicial.f_vector_bruteforce(
-                simplicial.spanning_complex(self.g), self.face_cap
-            ),
+            lambda: simplicial.f_vector_bruteforce(self.complex, self.face_cap),
         )
 
     def oracle_covers(self) -> list[EdgeSet]:
         """The minimal vertex covers by exhaustive transversal search."""
         return self._once(
             "covers",
-            lambda: ideal.minimal_vertex_covers_oracle(
-                simplicial.spanning_complex(self.g)
-            ),
+            lambda: ideal.minimal_vertex_covers_oracle(self.complex),
         )
 
 
 def _check_trees(g, ctx):
-    mine = spanning.enumerate_trees_characterized(g).tree_masks()
+    mine = {f.mask for f in ctx.complex.facets}
     ref = set(oracle.spanning_tree_masks(g.endpoints, g.num_vertices, ctx.tree_cap))
     if mine == ref:
         return "match", None
@@ -154,7 +152,7 @@ def _check_trees(g, ctx):
 
 
 def _check_count(g, ctx):
-    mine = len(spanning.enumerate_trees_characterized(g).trees)
+    mine = len(ctx.complex.facets)
     ref = oracle.kirchhoff_count(g.endpoints, g.num_vertices)
     if mine == ref:
         return "match", None
@@ -177,11 +175,7 @@ def _check_fvector(g, ctx):
 def _check_hilbert(g, ctx):
     series = hilbert.hilbert_series(simplicial.f_vector_exact(g))
     got = series.expand(HILBERT_DEGREES)
-    faces = ctx.face_fvector()
-    want = [
-        hilbert._hilbert_function_from_faces(faces, j)
-        for j in range(HILBERT_DEGREES + 1)
-    ]
+    want = hilbert._hilbert_function_from_faces(ctx.face_fvector(), HILBERT_DEGREES)
     if got == want:
         return "match", None
     bad = next(j for j in range(HILBERT_DEGREES + 1) if got[j] != want[j])
@@ -200,24 +194,22 @@ def _check_decomposition(g, ctx):
     met = ideal.intersect_primes(
         (ideal.VariablePrime(s) for s in ctx.oracle_covers()), g.n
     )
-    direct = ideal.facet_ideal(simplicial.spanning_complex(g))
     mine = {s.mask for s in met.generators}
-    ref = {s.mask for s in direct.generators}
+    ref = {s.mask for s in ctx.ideal.generators}
     if mine == ref:
         return "match", None
     return "mismatch", _set_diff_detail(g, "intersection", mine, "facet_ideal", ref)
 
 
 def _check_cm(g, ctx):
-    verdict = ideal.cohen_macaulay_verdict(g)
+    verdict = ideal.cohen_macaulay_verdict(g, ctx.ideal)
     if not verdict.certified:
         return "mismatch", {
             "verdict": verdict.detail,
             "step": verdict.failed_step,
             "mindeg": verdict.failed_mindeg,
         }
-    fi = ideal.facet_ideal(simplicial.spanning_complex(g))
-    if not ideal.replay_certificate(fi, verdict.certificate):
+    if not ideal.replay_certificate(ctx.ideal, verdict.certificate):
         return "mismatch", {"verdict": "certificate does not replay"}
     return "match", {"steps": len(verdict.certificate.ordering)}
 

@@ -79,10 +79,10 @@ def test_criterion_1_example_instance_battery(fig1):
     assert len(minimal_vertex_covers_oracle(spanning_complex(fig1))) == 14
 
     ideal = facet_ideal(spanning_complex(fig1))
-    cert = quasi_linear_certificate(ideal, paper_ordering(fig1))
+    cert = quasi_linear_certificate(ideal, paper_ordering(fig1, ideal))
     assert len(cert.witnesses) == 10
     assert replay_certificate(ideal, cert)
-    assert cohen_macaulay_verdict(fig1).certified
+    assert cohen_macaulay_verdict(fig1, ideal).certified
 
     assert time.perf_counter() - started < 1.0
 
@@ -120,8 +120,7 @@ def test_criterion_3_fvector_routes_agree():
 def test_criterion_4_hilbert_expansion_matches_dimension_counts():
     for g in SMALL:
         expansion = hilbert_series(f_vector_exact(g)).expand(10)
-        for j in range(11):
-            assert expansion[j] == hilbert_function_oracle(g, j), (g.r, g.m, g.t, j)
+        assert expansion == hilbert_function_oracle(g, 10), (g.r, g.m, g.t)
 
 
 def test_criterion_5_cover_decomposition_and_reported_gap():
@@ -149,12 +148,12 @@ def test_criterion_6_quotient_certificates_family_wide(fig1):
     for r, m, t in FAMILY:
         g = build_chain_graph(r, m, t)
         ideal = facet_ideal(spanning_complex(g))
-        cert = quasi_linear_certificate(ideal, paper_ordering(g))
+        cert = quasi_linear_certificate(ideal, paper_ordering(g, ideal))
         assert len(cert.witnesses) == len(ideal) - 1
         assert replay_certificate(ideal, cert), (r, m, t)
 
     ideal = facet_ideal(spanning_complex(fig1))
-    cert = quasi_linear_certificate(ideal, paper_ordering(fig1))
+    cert = quasi_linear_certificate(ideal, paper_ordering(fig1, ideal))
     assert [str(fig1.label_of(v)) for v in cert.witnesses] == [
         "e_{1,2}", "e_{1,3}", "e_{2,2}", "e_{2,3}", "e_{1,2}",
         "e_{1,2}", "e_{1,2}", "e_{1,3}", "e_{1,3}", "e_{1,3}",

@@ -1,9 +1,14 @@
 """End-to-end runs of the console entry point."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import cyclechain
+from cyclechain import simplicial, spanning
 from cyclechain.cli import main
 
 
@@ -115,6 +120,23 @@ def test_certify(capsys):
     }
 
 
+def test_certify_enumerates_trees_once(capsys, monkeypatch):
+    calls = []
+    real = spanning.enumerate_trees_characterized
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(spanning, "enumerate_trees_characterized", counted)
+    monkeypatch.setattr(simplicial, "enumerate_trees_characterized", counted)
+    # a graph no other test builds, so a cache filled earlier cannot hide it
+    code, obj, _ = run_json(capsys, "certify", "--r", "2", "--m", "5,6", "--t", "1")
+    assert code == 0
+    assert obj["steps"] == 29 and obj["replayed"] is True
+    assert len(calls) == 1
+
+
 def test_verify_exit_codes(capsys):
     code, obj, err = run_json(capsys, "verify", *FIG1, "--checks", "trees,count")
     assert code == 0
@@ -174,6 +196,25 @@ def test_spec_file_errors(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "spec, named",
+    [
+        ({"r": 2, "m": [3, 4], "forst": {"count": 3}}, "forst"),
+        ({"r": 2, "m": [3, 4], "forest": {"attach": [0], "count": 3}}, "forest"),
+        ({"r": 2, "forest": {"count": 1}}, '"m"'),
+        ({"m": [3, 4]}, '"r"'),
+    ],
+)
+def test_malformed_spec_is_rejected(capsys, tmp_path, spec, named):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "gen", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert named in err
+
+
+@pytest.mark.parametrize(
     "spec",
     [
         {"r": 2.9, "m": [3, 4], "forest": {"count": 1.7}},
@@ -213,6 +254,39 @@ def test_capacity_exit(capsys):
     assert code == 3 and "capacity" in err
     code, _, _ = run(capsys, "fvector", "--r", "7", "--m", "3,3,3,3,3,3,3")
     assert code == 3
+
+
+def test_hilbert_expand_is_capped(capsys):
+    code, obj, _ = run_json(
+        capsys, "hilbert", "--r", "1", "--m", "3", "--expand", "10000"
+    )
+    assert code == 0
+    assert len(obj["expansion"]) == 10_001
+    code, out, err = run(
+        capsys, "hilbert", "--r", "1", "--m", "3", "--expand", "10001"
+    )
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_closed_stdout_exits_1_without_an_error_line():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    src = os.path.dirname(os.path.dirname(cyclechain.__file__))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cyclechain.cli", "trees", "--r", "3", "--m", "5,5,5"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
 
 
 def test_pretty_output(capsys):

@@ -14,7 +14,6 @@ from cyclechain import (
     cohen_macaulay_verdict,
     colon_mindeg,
     covers_lemma41,
-    enumerate_trees_characterized,
     facet_ideal,
     family_instances,
     intersect_primes,
@@ -237,9 +236,10 @@ def test_predicted_covers_do_not(fig1):
 
 
 def test_block_ordering(fig1):
-    sts = enumerate_trees_characterized(fig1)
-    order = paper_ordering(fig1)
-    removed = [sts.removals[i].removed.indices() for i in order]
+    ideal = facet_ideal(spanning_complex(fig1))
+    full = fig1.edge_set(fig1.full_mask)
+    order = paper_ordering(fig1, ideal)
+    removed = [(full ^ ideal.generators[i]).indices() for i in order]
     assert removed == [
         (0, 3),
         (0, 1), (0, 2), (0, 4), (0, 5),
@@ -248,12 +248,13 @@ def test_block_ordering(fig1):
 
 
 def test_block_ordering_single_cycle(triangle):
-    assert paper_ordering(triangle) == [2, 1, 0]
+    ideal = facet_ideal(spanning_complex(triangle))
+    assert paper_ordering(triangle, ideal) == [2, 1, 0]
 
 
 def test_example_instance_certificate(fig1):
     ideal = facet_ideal(spanning_complex(fig1))
-    cert = quasi_linear_certificate(ideal, paper_ordering(fig1))
+    cert = quasi_linear_certificate(ideal, paper_ordering(fig1, ideal))
     assert len(cert.witnesses) == len(ideal) - 1
     assert [str(fig1.label_of(v)) for v in cert.witnesses] == [
         "e_{1,2}", "e_{1,3}", "e_{2,2}", "e_{2,3}", "e_{1,2}",
@@ -288,14 +289,14 @@ def test_single_generator_is_vacuously_fine():
 
 def test_replay_catches_tampering(fig1):
     ideal = facet_ideal(spanning_complex(fig1))
-    cert = quasi_linear_certificate(ideal, paper_ordering(fig1))
+    cert = quasi_linear_certificate(ideal, paper_ordering(fig1, ideal))
     forged = QuotientCertificate(cert.ordering, (6,) + cert.witnesses[1:])
     assert not replay_certificate(ideal, forged)
 
 
 def test_replay_rejects_an_ordering_that_is_not_a_permutation(fig1):
     ideal = facet_ideal(spanning_complex(fig1))
-    cert = quasi_linear_certificate(ideal, paper_ordering(fig1))
+    cert = quasi_linear_certificate(ideal, paper_ordering(fig1, ideal))
     repeated = (cert.ordering[1],) + cert.ordering[1:]
     assert not replay_certificate(ideal, QuotientCertificate(repeated, cert.witnesses))
     short = QuotientCertificate(cert.ordering[:-1], cert.witnesses[:-1])
@@ -306,7 +307,7 @@ def test_any_shuffle_within_blocks_works(fig1):
     # ties inside a block are arbitrary, so permuting them must not
     # break the quotient property
     ideal = facet_ideal(spanning_complex(fig1))
-    base = paper_ordering(fig1)
+    base = paper_ordering(fig1, ideal)
     rng = random.Random(7)
     for _ in range(10):
         head, mid, tail = base[:1], base[1:5], base[5:]
@@ -318,12 +319,11 @@ def test_any_shuffle_within_blocks_works(fig1):
 
 def test_cm_verdict(fig1, triangle, chain3):
     for g in (triangle, fig1, chain3):
-        verdict = cohen_macaulay_verdict(g)
+        ideal = facet_ideal(spanning_complex(g))
+        verdict = cohen_macaulay_verdict(g, ideal)
         assert verdict.certified
         assert verdict.failed_step is None
-        assert replay_certificate(
-            facet_ideal(spanning_complex(g)), verdict.certificate
-        )
+        assert replay_certificate(ideal, verdict.certificate)
 
 
 def _reference_certificate(ideal, ordering):
@@ -369,7 +369,7 @@ def test_exchange_lookup_matches_the_scan_on_the_family():
     for r, m, t in family_instances(3, 5, 1):
         g = build_chain_graph(r, m, t)
         ideal = facet_ideal(spanning_complex(g))
-        order = paper_ordering(g)
+        order = paper_ordering(g, ideal)
         cert = quasi_linear_certificate(ideal, order)
         assert ("ok", cert.witnesses) == _reference_certificate(ideal, order)
         assert replay_certificate(ideal, cert)

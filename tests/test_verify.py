@@ -1,10 +1,25 @@
+import gc
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
-from cyclechain import build_chain_graph, oracle, verify, verify_family, verify_instance
+from cyclechain import (
+    build_chain_graph,
+    cohen_macaulay_verdict,
+    enumerate_trees_characterized,
+    facet_ideal,
+    hilbert_function_oracle,
+    ideal,
+    oracle,
+    simplicial,
+    spanning_complex,
+    verify,
+    verify_family,
+    verify_instance,
+)
 from cyclechain.verify import (
     CHECK_NAMES,
     NOTE_NAMES,
@@ -112,16 +127,16 @@ def test_verdict_matches_attachment_shape():
     assert report.to_json()["instance"]["attach"] == [0, 0, 0]
 
 
-def _count_calls(monkeypatch, *names):
+def _count_calls(monkeypatch, *names, module=oracle):
     calls = dict.fromkeys(names, 0)
     for name in names:
-        real = getattr(oracle, name)
+        real = getattr(module, name)
 
         def counted(*args, _real=real, _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(oracle, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -145,6 +160,33 @@ def test_capped_face_oracle_skips_both_checks_after_one_call(monkeypatch, fig1):
     assert fvector.detail == hilbert.detail
     assert "cap of 50" in fvector.detail
     assert report.ok
+
+
+def test_each_stage_runs_once_per_instance(monkeypatch, fig1):
+    built = _count_calls(
+        monkeypatch,
+        "enumerate_trees_characterized",
+        "spanning_complex",
+        module=simplicial,
+    )
+    ideals = _count_calls(monkeypatch, "facet_ideal", module=ideal)
+    assert verify_instance(fig1).checks[0].status == "match"
+    assert built == {"enumerate_trees_characterized": 1, "spanning_complex": 1}
+    assert ideals == {"facet_ideal": 1}
+
+
+def test_no_module_state_keeps_a_graph_alive():
+    # a graph no other test builds, so a cache filled earlier cannot hide it
+    g = build_chain_graph(2, [6, 3], 3)
+    enumerate_trees_characterized(g)
+    c = spanning_complex(g)
+    assert hilbert_function_oracle(g, 3)[3] > 0
+    assert cohen_macaulay_verdict(g, facet_ideal(c)).certified
+    assert verify_instance(g).checks[0].status == "match"
+    alive = weakref.ref(g)
+    del g, c
+    gc.collect()
+    assert alive() is None
 
 
 def test_pool_workers_are_clamped():
