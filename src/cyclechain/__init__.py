@@ -18,7 +18,6 @@ from .chain_graph import (
     build_chain_graph,
     composite_cycle,
     composite_length,
-    cycle_count,
     cycle_intersection_size,
     intersection_formula,
     intersection_report,
@@ -64,17 +63,15 @@ from .simplicial import (
     f_vector_paper,
     f_vector_pairwise_form,
     f_vector_r2_closed_form,
-    minimal_nonfaces,
     spanning_complex,
-    ssc,
 )
 from .spanning import (
     SpanningTreeSet,
     TreeRemoval,
+    count_trees_characterized,
     count_trees_kirchhoff,
     enumerate_trees_characterized,
     enumerate_trees_oracle,
-    is_spanning_tree,
 )
 from .util import binom
 from .verify import (

@@ -307,11 +307,6 @@ class CompositeCycle:
     edges: EdgeSet
 
 
-def cycle_count(r: int) -> int:
-    """Number of cycles of the chain, r(r+1)/2."""
-    return r * (r + 1) // 2
-
-
 def _check_range(g: ChainGraph, i: int, k: int) -> None:
     if not (1 <= i and 0 <= k and i + k <= g.r):
         raise IndexOutOfRange(f"cycle range (i={i}, k={k}) invalid for r={g.r}")

@@ -7,6 +7,7 @@ stdout is deterministic for a fixed command line; timings go to stderr.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -34,6 +35,27 @@ EXIT_MISMATCH = 5
 MAX_EXPAND = 10_000
 
 
+class InvalidInput(Exception):
+    """An argument or graph spec file that cannot be read (exit 2)."""
+
+
+def _reads_input(parse):
+    """Report the ValueError or OSError that parse raises as InvalidInput.
+
+    Only argument and spec reading goes through here, so the same errors
+    raised later, inside the library, are not taken for bad input.
+    """
+
+    @functools.wraps(parse)
+    def wrapper(*args):
+        try:
+            return parse(*args)
+        except (ValueError, OSError) as e:
+            raise InvalidInput(e) from e
+
+    return wrapper
+
+
 def _graph_flags() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--spec", metavar="FILE", help="JSON graph spec file")
@@ -46,7 +68,9 @@ def _graph_flags() -> argparse.ArgumentParser:
     return p
 
 
-def _load_graph(args):
+@_reads_input
+def _graph_args(args) -> tuple:
+    """build_chain_graph's (r, m, forest) from --spec or --r/--m/--t."""
     if args.spec is not None:
         if args.r is not None or args.m is not None or args.t is not None:
             raise ValueError("--spec cannot be combined with --r/--m/--t")
@@ -69,11 +93,15 @@ def _load_graph(args):
                 raise BadAttachment('"attach" must be a list of vertex ids')
         else:
             forest_arg = forest["count"]
-        return build_chain_graph(data["r"], data["m"], forest_arg)
+        return data["r"], data["m"], forest_arg
     if args.r is None or args.m is None:
         raise ValueError("provide --spec FILE or both --r and --m")
     m = [int(x) for x in args.m.split(",")]
-    return build_chain_graph(args.r, m, args.t if args.t is not None else 0)
+    return args.r, m, args.t if args.t is not None else 0
+
+
+def _load_graph(args):
+    return build_chain_graph(*_graph_args(args))
 
 
 def _emit(obj, pretty_lines=None, pretty=False) -> None:
@@ -131,10 +159,11 @@ def cmd_cycles(args) -> int:
 
 def cmd_trees(args) -> int:
     g = _load_graph(args)
-    sts = spanning.enumerate_trees_characterized(g)
     if args.count_only:
-        _emit({"count": len(sts)}, [f"{len(sts)} spanning trees"], args.pretty)
+        count = spanning.count_trees_characterized(g)
+        _emit({"count": count}, [f"{count} spanning trees"], args.pretty)
         return EXIT_OK
+    sts = spanning.enumerate_trees_characterized(g)
     obj = {"count": len(sts), "trees": [labels_of(g, s) for s in sts.trees]}
     lines = [f"{len(sts)} spanning trees"]
     if args.by_class:
@@ -185,6 +214,8 @@ def cmd_hilbert(args) -> int:
         raise CapacityExceeded(
             f"--expand {args.expand} exceeds the limit of {MAX_EXPAND}"
         )
+    if args.expand < 0:
+        raise InvalidInput(f"need a degree >= 0, got {args.expand}")
     g = _load_graph(args)
     series = hilbert.hilbert_series(simplicial.f_vector_exact(g))
     obj = {
@@ -260,11 +291,19 @@ def cmd_certify(args) -> int:
     return EXIT_OK if replayed else EXIT_MISMATCH
 
 
+@_reads_input
 def _parse_family(text: str) -> tuple[int, int, int]:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError("--family expects rmax,mmax,tmax")
-    return int(parts[0]), int(parts[1]), int(parts[2])
+    rmax, mmax, tmax = int(parts[0]), int(parts[1]), int(parts[2])
+    verify.check_family_bounds(rmax, mmax, tmax)
+    return rmax, mmax, tmax
+
+
+@_reads_input
+def _parse_checks(text: str | None):
+    return verify.select_checks(text.split(",")) if text else None
 
 
 def _report_lines(rep) -> list[str]:
@@ -276,7 +315,7 @@ def _report_lines(rep) -> list[str]:
 
 
 def cmd_verify(args) -> int:
-    checks = args.checks.split(",") if args.checks else None
+    checks = _parse_checks(args.checks)
     if args.family:
         rmax, mmax, tmax = _parse_family(args.family)
         reports = verify.verify_family(
@@ -388,13 +427,11 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CERTIFICATE
     except (
+        InvalidInput,
         InvalidLength,
         BadAttachment,
         IndexOutOfRange,
         EmptyIdeal,
-        ValueError,
-        OSError,
-        json.JSONDecodeError,
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID

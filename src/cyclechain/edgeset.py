@@ -2,8 +2,10 @@
 
 Every edge subset handled by the package (cycles, spanning trees, faces,
 monomial supports, vertex covers) is an EdgeSet: an integer bitmask over
-ground indices 0..ground-1.  The ground set is capped at 64 indices, so a
-mask always fits one machine word and set algebra is exact by construction.
+ground indices 0..ground-1.  Python integers have no fixed width, so the
+64-index cap on the ground set is not a storage limit: it is the largest
+edge count of any graph the package builds (build_chain_graph raises
+CapacityExceeded past it), and so the largest variable count of any ideal.
 """
 
 from dataclasses import dataclass

@@ -172,28 +172,3 @@ def minimal_hitting_sets(sets, cap: int = 10**6) -> list[int]:
             )
     trans.sort(key=lambda m: (m.bit_count(), m))
     return trans
-
-
-def count_monomials_supported_on(
-    faces: set[int], num_vars: int, degree: int, cap: int = 10**7
-) -> int:
-    """Count degree-d monomials whose support is a face, by enumeration.
-
-    Intended for tiny cross-checks only; the iteration space is
-    C(num_vars + degree - 1, degree).
-    """
-    if degree == 0:
-        return 1
-    total_candidates = math.comb(num_vars + degree - 1, degree)
-    if total_candidates > cap:
-        raise SearchSpaceTooLarge(
-            f"{total_candidates} monomials exceed the cap of {cap}"
-        )
-    count = 0
-    for combo in itertools.combinations_with_replacement(range(num_vars), degree):
-        support = 0
-        for var in combo:
-            support |= 1 << var
-        if support in faces:
-            count += 1
-    return count

@@ -78,9 +78,6 @@ class FVector:
     def dim(self) -> int:
         return len(self.f) - 1
 
-    def euler(self) -> int:
-        return sum(-v if i & 1 else v for i, v in enumerate(self.f))
-
     def __getitem__(self, i: int) -> int:
         return self.f[i]
 
@@ -95,9 +92,6 @@ def spanning_complex(g: ChainGraph) -> SimplicialComplex:
     if not c.is_pure or c.dim != g.num_vertices - 2:
         raise RuntimeError(f"spanning complex of {g!r} has unexpected dimension")
     return c
-
-
-ssc = spanning_complex
 
 
 def f_vector_bruteforce(c: SimplicialComplex, cap: int = 1 << 24) -> FVector:
@@ -249,17 +243,3 @@ def f_vector_paper(g: ChainGraph) -> FVectorComparison:
         pairwise_form=f_vector_pairwise_form(g),
         r2_closed_form=f_vector_r2_closed_form(g) if g.r == 2 else None,
     )
-
-
-def minimal_nonfaces(g: ChainGraph) -> list[EdgeSet]:
-    """The cycle edge sets, which generate all dependence.
-
-    Verified pairwise incomparable before returning, so they are the
-    inclusion-minimal non-faces of the spanning complex.
-    """
-    sets = [c.edges for c in all_cycles(g)]
-    for i, a in enumerate(sets):
-        for b in sets[i + 1 :]:
-            if a.issubset(b) or b.issubset(a):
-                raise RuntimeError(f"cycles {a} and {b} are nested")
-    return sets

@@ -23,6 +23,7 @@ with the brute-force enumeration and to the determinant count.
 """
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -56,28 +57,6 @@ class SpanningTreeSet:
 
     def tree_masks(self) -> set[int]:
         return {s.mask for s in self.trees}
-
-
-def is_spanning_tree(g: ChainGraph, s: EdgeSet) -> bool:
-    """Definition check: right size, acyclic, and connected."""
-    nv = g.num_vertices
-    if s.ground != g.n or len(s) != nv - 1:
-        return False
-    parent = list(range(nv))
-    merges = 0
-    for e in s:
-        u, v = g.endpoints[e]
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        if u == v:
-            return False
-        parent[u] = v
-        merges += 1
-    return merges == nv - 1
 
 
 def _consecutive_runs(values: list[int]) -> list[tuple[int, int]]:
@@ -153,6 +132,16 @@ def enumerate_trees_characterized(g: ChainGraph) -> SpanningTreeSet:
     return SpanningTreeSet(
         trees, {tag: by_class[tag] for tag in CLASS_TAGS if by_class[tag]}, removals
     )
+
+
+def count_trees_characterized(g: ChainGraph) -> int:
+    """The tree count from the removal classes, without listing the trees:
+    each shared-edge pattern contributes the product of its blocks' choices."""
+    total = 0
+    for wsub in range(1 << (g.r - 1)):
+        runs = _consecutive_runs([j + 1 for j in range(g.r - 1) if wsub >> j & 1])
+        total += math.prod(len(block) for block in _block_choices(g, runs))
+    return total
 
 
 def enumerate_trees_oracle(g: ChainGraph, cap: int = 10**6) -> SpanningTreeSet:

@@ -66,13 +66,13 @@ class OracleReport:
     def ok(self) -> bool:
         return all(c.status != "mismatch" for c in self.checks)
 
-    def to_json(self, include_timings: bool = False) -> dict:
+    def to_json(self) -> dict:
+        """Deterministic payload: names, statuses and details, no timings."""
+
         def one(c: CheckResult) -> dict:
             out = {"name": c.name, "status": c.status}
             if c.detail is not None:
                 out["detail"] = c.detail
-            if include_timings:
-                out["elapsed"] = round(c.elapsed, 6)
             return out
 
         return {
@@ -263,6 +263,17 @@ def _run(name, g, ctx) -> CheckResult:
     return CheckResult(name, status, time.perf_counter() - start, detail)
 
 
+def select_checks(checks) -> tuple[str, ...]:
+    """The named checks in the given order, or all of them for None."""
+    if checks is None:
+        return CHECK_NAMES
+    selected = tuple(checks)
+    unknown = [c for c in selected if c not in CHECK_NAMES]
+    if unknown:
+        raise ValueError(f"unknown checks {unknown}; valid: {', '.join(CHECK_NAMES)}")
+    return selected
+
+
 def verify_instance(
     g: ChainGraph,
     checks=None,
@@ -270,15 +281,7 @@ def verify_instance(
     face_cap: int = 1 << 24,
 ) -> OracleReport:
     """Run the selected checks (default: all) plus both notes."""
-    if checks is None:
-        selected = CHECK_NAMES
-    else:
-        selected = tuple(checks)
-        unknown = [c for c in selected if c not in CHECK_NAMES]
-        if unknown:
-            raise ValueError(
-                f"unknown checks {unknown}; valid: {', '.join(CHECK_NAMES)}"
-            )
+    selected = select_checks(checks)
     instance = {
         "r": g.r,
         "m": list(g.m),
@@ -292,10 +295,15 @@ def verify_instance(
     return OracleReport(instance, results, notes)
 
 
-def family_instances(rmax: int, mmax: int, tmax: int):
-    """All (r, m, t) with r <= rmax, 3 <= m_i <= mmax, t <= tmax, sorted."""
+def check_family_bounds(rmax: int, mmax: int, tmax: int) -> None:
+    """ValueError unless the bounds admit at least one instance."""
     if rmax < 1 or mmax < 3 or tmax < 0:
         raise ValueError(f"family bounds ({rmax},{mmax},{tmax}) out of range")
+
+
+def family_instances(rmax: int, mmax: int, tmax: int):
+    """All (r, m, t) with r <= rmax, 3 <= m_i <= mmax, t <= tmax, sorted."""
+    check_family_bounds(rmax, mmax, tmax)
     out = []
     for r in range(1, rmax + 1):
         for m in itertools.product(range(3, mmax + 1), repeat=r):

@@ -11,7 +11,6 @@ from cyclechain import (
     build_chain_graph,
     composite_cycle,
     composite_length,
-    cycle_count,
     cycle_intersection_size,
     intersection_formula,
     intersection_report,
@@ -128,9 +127,9 @@ def test_equality_and_hashing(fig1):
 
 
 def test_cycle_count_closed_form():
-    assert [cycle_count(r) for r in range(1, 7)] == [1, 3, 6, 10, 15, 21]
-    g6 = build_chain_graph(6, [3] * 6, 0)
-    assert len(all_cycles(g6)) == 21
+    # r(r+1)/2 cycles: one per run of consecutive simple cycles
+    counts = [len(all_cycles(build_chain_graph(r, [3] * r, 0))) for r in range(1, 7)]
+    assert counts == [1, 3, 6, 10, 15, 21]
 
 
 def test_composite_cycles_example(fig1):
@@ -173,7 +172,7 @@ def test_intersection_formula_matches_exact(small_instances):
 def test_intersection_report_shape():
     g = build_chain_graph(4, [3, 4, 5, 3], 1)
     report = intersection_report(g)
-    k = cycle_count(4)
+    k = len(all_cycles(g))
     # self-pairs are included; their intersection is the full length
     assert len(report) == k * (k + 1) // 2
     rows = {comp.row for comp in report}

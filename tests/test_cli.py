@@ -52,6 +52,18 @@ def test_trees_count_only(capsys):
     assert obj == {"count": 11}
 
 
+def test_trees_count_only_does_not_enumerate(capsys, monkeypatch):
+    def refuse(g):
+        raise AssertionError("--count-only enumerated the trees")
+
+    monkeypatch.setattr(spanning, "enumerate_trees_characterized", refuse)
+    m = ",".join(["6"] * 8)
+    code, obj, _ = run_json(capsys, "trees", "--r", "8", "--m", m, "--count-only")
+    assert code == 0
+    g = cyclechain.build_chain_graph(8, [6] * 8, 0)
+    assert obj == {"count": spanning.count_trees_kirchhoff(g)}
+
+
 def test_trees_by_class(capsys):
     code, obj, _ = run_json(capsys, "trees", *FIG1, "--by-class")
     assert code == 0
@@ -247,6 +259,29 @@ def test_invalid_parameters(capsys):
     assert code == 2
     code, _, _ = run(capsys, "trees", "--r", "1", "--m", "not-a-number")
     assert code == 2
+
+
+def test_unreadable_arguments_exit_2(capsys):
+    for argv in (
+        ("verify", *FIG1, "--checks", "count,bogus"),
+        ("verify", "--family", "0,3,0"),
+        ("verify", "--family", "2,x,0"),
+        ("verify", "--family", "2,3"),
+        ("hilbert", *FIG1, "--expand", "-1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_internal_value_error_is_not_invalid_input(monkeypatch):
+    def broken(g):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(simplicial, "f_vector_exact", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["fvector", *FIG1])
 
 
 def test_capacity_exit(capsys):

@@ -1,4 +1,5 @@
-"""Series arithmetic plus the two independent dimension-count routes."""
+"""The series read off the h-vector plus the two independent dimension-count
+routes."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,39 +13,7 @@ from cyclechain import (
     hilbert_function_oracle,
     hilbert_series,
 )
-from cyclechain.hilbert import _divide_by_one_minus_t, one_minus_t_power
 from cyclechain.util import binom
-
-
-def test_polynomial_arithmetic():
-    p = IntPolynomial.of([1, 2, 0])
-    assert p.coefficients == (1, 2)
-    assert p.degree == 1
-    q = IntPolynomial.of([0, 0, 3])
-    assert (p + q).coefficients == (1, 2, 3)
-    assert (p * q).coefficients == (0, 0, 3, 6)
-    assert p(10) == 21
-    assert p.shift(2).coefficients == (0, 0, 1, 2)
-    assert IntPolynomial.of([]).is_zero
-    assert one_minus_t_power(2).coefficients == (1, -2, 1)
-
-
-def test_normalization():
-    # (1 - t^2) / (1 - t)^2 = (1 + t) / (1 - t)
-    s = RationalSeries.normalized(IntPolynomial.of([1, 0, -1]), 2)
-    assert s.numerator.coefficients == (1, 1)
-    assert s.denom_power == 1
-    assert s.is_normalized
-    raw = RationalSeries(IntPolynomial.of([1, 0, -1]), 2)
-    assert not raw.is_normalized
-    assert raw.expand(6) == s.expand(6)
-
-
-def test_series_addition():
-    one_pole = RationalSeries(IntPolynomial.of([1]), 1)
-    two_pole = RationalSeries(IntPolynomial.of([1]), 2)
-    total = one_pole + two_pole
-    assert total.expand(5) == [a + b for a, b in zip(one_pole.expand(5), two_pole.expand(5))]
 
 
 def test_expand_validation():
@@ -59,6 +28,9 @@ def test_single_vertex_series():
     assert s.numerator.coefficients == (1,)
     assert s.denom_power == 1
     assert s.expand(4) == [1, 1, 1, 1, 1]
+    # no faces at all: the series of the empty complex is 1
+    s = hilbert_series(FVector((0, 0)))
+    assert (s.numerator.coefficients, s.denom_power) == ((1,), 0)
 
 
 def test_triangle_series(triangle):
@@ -84,10 +56,15 @@ def test_series_expansion_matches_dimension_formula(fig1):
     assert expansion == hilbert_function_oracle(fig1, 10)
     assert hilbert_function_oracle(fig1, 0) == [1]
     assert hilbert_function_oracle(fig1, 1) == [1, fig1.n]
+    with pytest.raises(ValueError):
+        hilbert_function_oracle(fig1, -1)
 
 
-@given(st.lists(st.integers(-20, 20), min_size=1, max_size=6))
-def test_series_of_any_integer_vector_expands_by_binomials(f):
+@given(
+    st.lists(st.integers(-20, 20), min_size=1, max_size=6),
+    st.integers(0, 3),
+)
+def test_series_of_any_integer_vector_expands_by_binomials(f, zeros):
     # formal identity, independent of any complex
     s = hilbert_series(FVector(tuple(f)))
     expansion = s.expand(8)
@@ -96,15 +73,11 @@ def test_series_of_any_integer_vector_expands_by_binomials(f):
         assert expansion[j] == sum(
             fi * binom(j - 1, i) for i, fi in enumerate(f)
         )
-
-
-def test_literal_monomial_route(triangle, fig1):
-    assert hilbert_function_oracle(triangle, 3, literal=True) == \
-        hilbert_function_oracle(triangle, 3)
-    assert hilbert_function_oracle(fig1, 2, literal=True) == \
-        hilbert_function_oracle(fig1, 2)
-    with pytest.raises(ValueError):
-        hilbert_function_oracle(triangle, -1)
+    # lowest terms: no factor 1-t is left to cancel
+    if s.denom_power > 0:
+        assert s.numerator(1) != 0
+    padded = hilbert_series(FVector(tuple(f) + (0,) * zeros))
+    assert padded == s
 
 
 def test_numerator_nonnegative_on_sample():
@@ -112,12 +85,3 @@ def test_numerator_nonnegative_on_sample():
         s = hilbert_series(f_vector_exact(build_chain_graph(r, m, t)))
         assert all(c >= 0 for c in s.numerator.coefficients)
         assert s.denom_power == build_chain_graph(r, m, t).num_vertices - 1
-
-
-def test_division_by_one_minus_t_is_exact_or_an_internal_error():
-    assert _divide_by_one_minus_t(IntPolynomial.of([1, -1])).coefficients == (1,)
-    # 1 + t has p(1) = 2: not a multiple of 1-t, and not a ValueError,
-    # which the CLI would report as invalid input
-    with pytest.raises(ArithmeticError) as exc:
-        _divide_by_one_minus_t(IntPolynomial.of([1, 1]))
-    assert not isinstance(exc.value, ValueError)

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from cyclechain import SearchSpaceTooLarge
 from cyclechain.oracle import (
     bareiss_determinant,
-    count_monomials_supported_on,
     downset_face_counts,
     downset_faces,
     kirchhoff_count,
@@ -110,13 +109,3 @@ def test_hitting_sets_are_minimal_transversals(sets):
         for b in out:
             if a != b:
                 assert a & b != a
-
-
-def test_monomial_count_matches_series():
-    faces = downset_faces([0b011, 0b110, 0b101])
-    assert count_monomials_supported_on(faces, 3, 0) == 1
-    assert count_monomials_supported_on(faces, 3, 1) == 3
-    assert count_monomials_supported_on(faces, 3, 2) == 6
-    assert count_monomials_supported_on(faces, 3, 3) == 9
-    with pytest.raises(SearchSpaceTooLarge):
-        count_monomials_supported_on(faces, 3, 5, cap=10)

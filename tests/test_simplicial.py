@@ -14,7 +14,6 @@ from cyclechain import (
     f_vector_paper,
     f_vector_pairwise_form,
     f_vector_r2_closed_form,
-    minimal_nonfaces,
     spanning_complex,
 )
 from cyclechain.edgeset import EdgeSet
@@ -47,9 +46,7 @@ def test_complex_shape():
 def test_fvector_basics():
     fv = FVector((3, 3))
     assert fv.dim == 1
-    assert fv.euler() == 0
     assert fv[1] == 3 and len(fv) == 2
-    assert FVector((10, 45, 119, 202, 224, 157, 63, 11)).euler() == 1
 
 
 def test_spanning_complex(fig1):
@@ -125,22 +122,11 @@ def test_exact_cap_on_many_cycles():
         assert peak < 1 << 20
 
 
-def test_minimal_nonfaces_are_the_cycles(fig1):
-    nf = minimal_nonfaces(fig1)
-    assert [s.indices() for s in nf] == [
-        c.edges.indices() for c in all_cycles(fig1)
-    ]
-    for a in nf:
-        for b in nf:
-            if a != b:
-                assert not a.issubset(b)
-
-
 def test_nonfaces_characterize_faces(triangle, chain3):
     # a set is a face exactly when it contains no cycle
     for g in (triangle, chain3):
         facets = [f.mask for f in spanning_complex(g).facets]
-        nf = [s.mask for s in minimal_nonfaces(g)]
+        nf = [c.edges.mask for c in all_cycles(g)]
         for mask in range(1, 1 << g.n):
             is_face = any(mask & ~f == 0 for f in facets)
             contains_cycle = any(mask & s == s for s in nf)

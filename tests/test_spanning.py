@@ -3,11 +3,11 @@ import pytest
 from cyclechain import (
     SearchSpaceTooLarge,
     build_chain_graph,
+    count_trees_characterized,
     count_trees_kirchhoff,
     enumerate_trees_characterized,
     enumerate_trees_oracle,
     family_instances,
-    is_spanning_tree,
 )
 from cyclechain.edgeset import EdgeSet
 
@@ -92,15 +92,16 @@ def test_oracle_cap(fig1):
         enumerate_trees_oracle(fig1, cap=1)
 
 
-def test_spanning_tree_predicate(fig1):
-    full = EdgeSet.full(fig1.n)
-    assert not is_spanning_tree(fig1, full)
-    for tree in enumerate_trees_characterized(fig1).trees:
-        assert is_spanning_tree(fig1, tree)
-    # right size but leaves the second cycle intact
-    broken = full - EdgeSet.of([1, 2], fig1.n)
-    assert len(broken) == fig1.num_vertices - 1
-    assert not is_spanning_tree(fig1, broken)
+def test_count_matches_the_enumeration_on_the_family():
+    for r, m, t in family_instances(3, 5, 1):
+        g = build_chain_graph(r, m, t)
+        assert count_trees_characterized(g) == len(enumerate_trees_characterized(g))
+
+
+def test_count_matches_kirchhoff_past_enumeration():
+    # 2^9 shared-edge patterns; the trees themselves number in the millions
+    g = build_chain_graph(10, [6] * 10, 0)
+    assert count_trees_characterized(g) == count_trees_kirchhoff(g)
 
 
 def test_forest_edges_never_removed(fig1):
