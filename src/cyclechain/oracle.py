@@ -8,7 +8,6 @@ keeps the two routes to every quantity independent.
 
 import itertools
 import math
-from collections import Counter
 
 from .errors import SearchSpaceTooLarge
 
@@ -108,31 +107,103 @@ def kirchhoff_count(endpoints, num_vertices: int, deleted: int = 0) -> int:
     return bareiss_determinant(minor)
 
 
-def downset_faces(facet_masks, cap: int = 1 << 24) -> set[int]:
-    """All nonempty faces of the complex generated by the facets."""
-    faces: set[int] = set()
-    stack = [f for f in set(facet_masks) if f]
-    while stack:
-        m = stack.pop()
-        if m in faces:
-            continue
-        faces.add(m)
-        if len(faces) > cap:
-            raise SearchSpaceTooLarge(f"face count exceeds the cap of {cap}")
-        rest = m
-        while rest:
-            low = rest & -rest
-            child = m ^ low
-            if child and child not in faces:
-                stack.append(child)
-            rest ^= low
+# The face bitmap holds one bit per subset of the ground, 2^n bits for n
+# edges: 32 MiB at 28 edges, and the closure keeps a few such ints alive
+# at once, which stays well inside a 1 GiB address space.
+MAX_FACE_GROUND = 28
+
+# counts() tallies the low positions of each chunk through one popcount
+# mask per face size, so a chunk of 2^16 positions costs 17 popcounts.
+_CHUNK_BITS = 16
+
+
+class FaceBitmap:
+    """The faces of a downset: bit m of the bitmap is set iff m is a face."""
+
+    def __init__(self, bits: int, ground: int):
+        self._bits = bits
+        self._ground = ground
+
+    def __len__(self) -> int:
+        return self._bits.bit_count()
+
+    def counts(self) -> list[int]:
+        """f-vector: entry i counts the faces of size i+1."""
+        n = self._ground
+        low = min(n, _CHUNK_BITS)
+        # by_size[k] marks the positions below 2^low with k bits set
+        by_size = [1]
+        for j in range(low):
+            by_size = [a | b << (1 << j) for a, b in zip(by_size + [0], [0] + by_size)]
+        if low == n:
+            chunks = [(0, self._bits)]
+        else:
+            step = 1 << (low - 3)
+            data = memoryview(self._bits.to_bytes(1 << (n - 3), "little"))
+            chunks = (
+                (high, int.from_bytes(data[high * step : (high + 1) * step], "little"))
+                for high in range(1 << (n - low))
+            )
+        sizes = [0] * (n + 1)
+        for high, chunk in chunks:
+            if chunk:
+                base = high.bit_count()
+                for k, mask in enumerate(by_size):
+                    sizes[base + k] += (chunk & mask).bit_count()
+        while sizes and not sizes[-1]:
+            sizes.pop()
+        return sizes[1:]
+
+
+def _positions_with_bit(i: int, n: int) -> int:
+    """Bitmap of the positions below 2^n (at least one byte's worth) whose
+    bit i is set."""
+    if i < 3:
+        pattern = bytes(((0xAA, 0xCC, 0xF0)[i],))
+    else:
+        half = 1 << (i - 3)
+        pattern = bytes(half) + b"\xff" * half
+    return int.from_bytes(pattern * (max(1, (1 << n) >> 3) // len(pattern)), "little")
+
+
+def downset_faces(facet_masks, cap: int = 1 << 24) -> FaceBitmap:
+    """All nonempty faces of the complex generated by the facets.
+
+    A subset closure over one bitmap with a bit per subset of the ground
+    (n = bit length of the union of the facets): set each facet's bit,
+    then for every ground bit i let each set position m with bit i pass
+    its bit down to m - 2^i.  Raises SearchSpaceTooLarge when the face
+    count exceeds cap, up front when one facet alone has more than cap
+    faces, and when n exceeds MAX_FACE_GROUND.
+    """
+    facets = {f for f in facet_masks if f}
+    widest = max((f.bit_count() for f in facets), default=0)
+    if (1 << widest) - 1 > cap:
+        raise SearchSpaceTooLarge(f"face count exceeds the cap of {cap}")
+    ground = 0
+    for f in facets:
+        ground |= f
+    n = ground.bit_length()
+    if n > MAX_FACE_GROUND:
+        raise SearchSpaceTooLarge(
+            f"{n} edges exceed the face oracle's limit of {MAX_FACE_GROUND}"
+        )
+    buf = bytearray(max(1, (1 << n) >> 3))
+    for f in facets:
+        buf[f >> 3] |= 1 << (f & 7)
+    bits = int.from_bytes(buf, "little")
+    del buf
+    for i in range(n):
+        bits |= (bits & _positions_with_bit(i, n)) >> (1 << i)
+    faces = FaceBitmap(bits & ~1, n)
+    if len(faces) > cap:
+        raise SearchSpaceTooLarge(f"face count exceeds the cap of {cap}")
     return faces
 
 
 def downset_face_counts(facet_masks, cap: int = 1 << 24) -> list[int]:
-    """f-vector by literal face enumeration: entry i counts faces of size i+1."""
-    sizes = Counter(map(int.bit_count, downset_faces(facet_masks, cap)))
-    return [sizes[s] for s in range(1, max(sizes, default=0) + 1)]
+    """f-vector of the facets' downset: entry i counts faces of size i+1."""
+    return downset_faces(facet_masks, cap).counts()
 
 
 def _minimal_masks(masks) -> list[int]:

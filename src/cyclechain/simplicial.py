@@ -3,7 +3,8 @@
 The facets are the spanning trees, so the faces are exactly the edge sets
 that contain no cycle.  The f-vector is computed three ways:
 
-  * f_vector_bruteforce: materialize every face of the facet downset.
+  * f_vector_bruteforce: count the faces of the facet downset through the
+    face oracle's subset closure over one bitmap.
   * f_vector_exact: inclusion-exclusion over the 2^tau cycle subsets with
     union sizes read off the actual edge sets.  This is the normative route.
     The subsets are folded in one cycle at a time into signed counts per

@@ -129,7 +129,7 @@ class _Context:
         return value
 
     def face_fvector(self) -> simplicial.FVector:
-        """The f-vector counted face by face (downset enumeration)."""
+        """The f-vector of the trees' downset, from the face oracle."""
         return self._once(
             "faces",
             lambda: simplicial.f_vector_bruteforce(self.complex, self.face_cap),
@@ -329,7 +329,7 @@ def _available_cpus() -> int:
 
 
 def _dispatch_order(work) -> list[int]:
-    """Indices of the work items, most edges first.  The face oracle's
+    """Indices of the work items, most edges first.  The oracle cover
     search grows with the edge count (sum(m) - (r - 1) + t), so the pool's
     last chunks are its cheapest and the workers finish together, instead
     of one running the largest instance while the other waits."""

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -322,6 +323,42 @@ def test_closed_stdout_exits_1_without_an_error_line():
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == ""
+
+
+def _run_in_1_gib(*argv):
+    """The CLI in a fresh process whose address space is capped at 1 GiB."""
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = os.path.dirname(os.path.dirname(cyclechain.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "cyclechain.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=limit,
+        timeout=120,
+    )
+
+
+def test_face_oracle_over_its_cap_exits_3_within_1_gib():
+    proc = _run_in_1_gib("fvector", "--method", "brute", "--r", "5", "--m", "6,6,6,6,6")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+
+
+def test_verify_skips_the_face_checks_within_1_gib():
+    proc = _run_in_1_gib(
+        "verify", "--r", "4", "--m", "8,8,8,8", "--checks", "fvector,hilbert"
+    )
+    assert proc.returncode == 0
+    checks = json.loads(proc.stdout)["checks"]
+    assert [(c["name"], c["status"]) for c in checks] == [
+        ("fvector", "skipped"),
+        ("hilbert", "skipped"),
+    ]
 
 
 def test_pretty_output(capsys):

@@ -1,10 +1,13 @@
 """The independent routes everything else is checked against."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
 from cyclechain import SearchSpaceTooLarge
 from cyclechain.oracle import (
+    MAX_FACE_GROUND,
     bareiss_determinant,
     downset_face_counts,
     downset_faces,
@@ -88,6 +91,67 @@ def test_downset_counts():
     assert len(downset_faces([0b111])) == 7
     with pytest.raises(SearchSpaceTooLarge):
         downset_faces([(1 << 20) - 1], cap=100)
+
+
+def _downset_reference(facet_masks) -> set[int]:
+    """Every nonempty face, found by removing one element at a time."""
+    faces: set[int] = set()
+    stack = [f for f in set(facet_masks) if f]
+    while stack:
+        m = stack.pop()
+        if m in faces:
+            continue
+        faces.add(m)
+        rest = m
+        while rest:
+            low = rest & -rest
+            if m ^ low and m ^ low not in faces:
+                stack.append(m ^ low)
+            rest ^= low
+    return faces
+
+
+@st.composite
+def facet_family(draw):
+    """Up to 12 ground bits, spread over positions 0..19, and any masks on
+    them: zero, repeated, nested or of mixed sizes, or none at all."""
+    ground = sorted(draw(st.sets(st.integers(0, 19), max_size=12)))
+    subset = st.sets(st.sampled_from(ground)) if ground else st.just(set())
+    picked = draw(st.lists(subset, max_size=8))
+    return [sum(1 << b for b in bits) for bits in picked]
+
+
+@given(facet_family())
+def test_downset_matches_the_face_search(facets):
+    ref = _downset_reference(facets)
+    sizes = [0] * (max(map(int.bit_count, ref), default=0) + 1)
+    for face in ref:
+        sizes[face.bit_count()] += 1
+    faces = downset_faces(facets)
+    assert len(faces) == len(ref)
+    assert faces.counts() == downset_face_counts(facets) == sizes[1:]
+    if ref:
+        assert len(downset_faces(facets, cap=len(ref))) == len(ref)
+        with pytest.raises(SearchSpaceTooLarge, match=f"cap of {len(ref) - 1}$"):
+            downset_faces(facets, cap=len(ref) - 1)
+
+
+def test_downset_refuses_a_facet_over_the_cap_before_the_ground():
+    # 40 ground bits would also exceed the ground limit; the facet's own
+    # 2^40 - 1 faces are refused first
+    with pytest.raises(SearchSpaceTooLarge, match="cap of 16777216$"):
+        downset_faces([(1 << 40) - 1])
+
+
+def test_downset_refuses_a_wide_ground_without_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchSpaceTooLarge, match=f"40 edges .* {MAX_FACE_GROUND}$"):
+            downset_faces([1 << 39, 1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_hitting_sets_small():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from cyclechain import (
@@ -10,6 +12,7 @@ from cyclechain import (
     family_instances,
 )
 from cyclechain.edgeset import EdgeSet
+from cyclechain.spanning import _block_choices, _consecutive_runs
 
 
 def _removed_labels(g, sts):
@@ -98,10 +101,27 @@ def test_count_matches_the_enumeration_on_the_family():
         assert count_trees_characterized(g) == len(enumerate_trees_characterized(g))
 
 
+def _count_by_patterns(g):
+    """The count summed over all 2^(r-1) shared-edge patterns."""
+    total = 0
+    for wsub in range(1 << (g.r - 1)):
+        runs = _consecutive_runs([j + 1 for j in range(g.r - 1) if wsub >> j & 1])
+        total += math.prod(len(block) for block in _block_choices(g, runs))
+    return total
+
+
+def test_count_matches_the_pattern_sum_on_the_family():
+    for r, m, t in family_instances(4, 5, 1):
+        g = build_chain_graph(r, m, t)
+        assert count_trees_characterized(g) == _count_by_patterns(g)
+
+
 def test_count_matches_kirchhoff_past_enumeration():
-    # 2^9 shared-edge patterns; the trees themselves number in the millions
-    g = build_chain_graph(10, [6] * 10, 0)
-    assert count_trees_characterized(g) == count_trees_kirchhoff(g)
+    # the trees number in the millions at r = 10; at r = 31 (63 edges) the
+    # shared-edge patterns number 2^30
+    for r, length in ((10, 6), (31, 3)):
+        g = build_chain_graph(r, [length] * r, 0)
+        assert count_trees_characterized(g) == count_trees_kirchhoff(g)
 
 
 def test_forest_edges_never_removed(fig1):

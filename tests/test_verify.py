@@ -149,6 +149,19 @@ def test_each_shared_oracle_runs_once_per_instance(monkeypatch, request, graph):
     assert statuses["decomposition"] == "match"
 
 
+def test_verify_instance_makes_the_calls_the_traced_benchmark_requires(
+    monkeypatch, fig1
+):
+    # perfbench's traced family run exits 1 unless it records these calls,
+    # and it counts faces as len() of what downset_faces returns
+    facets = [f.mask for f in spanning_complex(fig1).facets]
+    assert len(oracle.downset_faces(facets)) == sum(oracle.downset_face_counts(facets))
+    oracles = _count_calls(monkeypatch, "downset_faces", "minimal_hitting_sets")
+    primes = _count_calls(monkeypatch, "intersect_primes", module=ideal)
+    verify_instance(fig1)
+    assert all(oracles.values()) and all(primes.values()), (oracles, primes)
+
+
 def test_capped_face_oracle_skips_both_checks_after_one_call(monkeypatch, fig1):
     calls = _count_calls(monkeypatch, "downset_faces")
     report = verify_instance(fig1, checks=("fvector", "hilbert"), face_cap=50)
