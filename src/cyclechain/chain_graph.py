@@ -146,6 +146,20 @@ class ChainGraph:
             masks.append(mask)
         return tuple(masks)
 
+    @cached_property
+    def shared_mask(self) -> int:
+        """Edge bitmask of the shared edges e_{j,1}, j = 1..r-1."""
+        mask = 0
+        for i in self.common_edge_indices:
+            mask |= 1 << i
+        return mask
+
+    @cached_property
+    def own_masks(self) -> tuple[int, ...]:
+        """Edge bitmask of the edges that lie on C_j alone, for j = 1..r
+        (index j-1): C_j without its shared edges."""
+        return tuple(c & ~self.shared_mask for c in self.simple_cycle_masks)
+
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1

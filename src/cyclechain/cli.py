@@ -18,8 +18,6 @@ from .errors import (
     BadAttachment,
     CapacityExceeded,
     CertificateFails,
-    EmptyIdeal,
-    IndexOutOfRange,
     InvalidLength,
     SearchSpaceTooLarge,
 )
@@ -426,13 +424,7 @@ def main(argv=None) -> int:
     except CertificateFails as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CERTIFICATE
-    except (
-        InvalidInput,
-        InvalidLength,
-        BadAttachment,
-        IndexOutOfRange,
-        EmptyIdeal,
-    ) as e:
+    except (InvalidInput, InvalidLength, BadAttachment) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -7,8 +7,9 @@ Combinatorics and Commutative Algebra, ch. II).
 
 from dataclasses import dataclass
 
+from . import oracle
 from .chain_graph import ChainGraph
-from .simplicial import FVector, f_vector_bruteforce, spanning_complex
+from .simplicial import FVector
 from .util import binom
 
 
@@ -79,8 +80,9 @@ def hilbert_series(fv: FVector) -> RationalSeries:
 
 
 def hilbert_function_oracle(g: ChainGraph, upto: int, cap: int = 1 << 24) -> list[int]:
-    """[HF(0), ..., HF(upto)] for the face ring, independently, from one
-    pass over the faces.
+    """[HF(0), ..., HF(upto)] for the face ring, independently: from the
+    faces of the downset of the brute-force spanning trees, which read
+    only the graph.
 
     A degree-j monomial survives iff its support is a face; there are
     C(j-1, s-1) monomials of degree j with a given support of size s, so
@@ -90,7 +92,8 @@ def hilbert_function_oracle(g: ChainGraph, upto: int, cap: int = 1 << 24) -> lis
         raise ValueError(f"need a degree >= 0, got {upto}")
     if upto == 0:
         return [1]  # without counting the faces
-    fv = f_vector_bruteforce(spanning_complex(g), cap)
+    trees = oracle.spanning_tree_masks(g.endpoints, g.num_vertices)
+    fv = FVector(tuple(oracle.downset_face_counts(trees, cap)))
     return _hilbert_function_from_faces(fv, upto)
 
 

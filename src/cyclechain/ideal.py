@@ -23,13 +23,13 @@ the shellability witness the Cohen-Macaulay verdict rests on.  A failed
 certificate only condemns the ordering, never the ring, so the verdict
 falls back to "inconclusive" rather than "not CM".
 
-When all generators share one degree (every facet ideal does), the prefix
-colon at m_p has mindeg 1 exactly when some exchange m_p - x + y, for x in
-m_p and y outside it, is an earlier generator; the certificate and its
-replay then look exchanges up in a dict from generator mask to position
-instead of scanning every earlier generator.  The per-step scan still runs
-for ideals of mixed degrees and, on a failing step, to report the true
-mindeg.
+The certificate takes ideals whose generators share one degree (every
+facet ideal does).  Then the prefix colon at m_p has mindeg 1 exactly when
+some exchange m_p - x + y, for x in m_p and y outside it, is an earlier
+generator, so the certificate and its replay look exchanges up in a dict
+from generator mask to position instead of scanning every earlier
+generator.  A failing step reports its true mindeg through colon_mindeg
+on the earlier generators.
 """
 
 import itertools
@@ -102,29 +102,14 @@ def minimal_vertex_covers_oracle(
 
 
 def covers_lemma41(g: ChainGraph) -> list[EdgeSet]:
-    """The predicted minimal covers, straight from the index ranges.
+    """The predicted minimal covers, straight from the own edges.
 
     Every forest edge is a singleton cover; inside each cycle, any two
-    distinct non-shared edges form one.  The non-shared positions are
-    2..m_1 for the first cycle, 2..m_j-1 in the middle, 1..m_r-1 for the
-    last, and all of 1..m_1 when there is a single cycle.
+    distinct own edges (the edges on that cycle alone) form one.
     """
-    covers: list[EdgeSet] = []
-    forest_start = g.n - g.t
-    for k in range(g.t):
-        covers.append(g.edge_set(1 << (forest_start + k)))
-    for j in range(1, g.r + 1):
-        off = g.cycle_offsets[j - 1]
-        if g.r == 1:
-            positions = range(1, g.m[0] + 1)
-        elif j == 1:
-            positions = range(2, g.m[0] + 1)
-        elif j < g.r:
-            positions = range(2, g.m[j - 1])
-        else:
-            positions = range(1, g.m[j - 1])
-        indices = [off + p - 1 for p in positions]
-        for a, b in itertools.combinations(indices, 2):
+    covers = [g.edge_set(1 << e) for e in range(g.n - g.t, g.n)]
+    for own in g.own_masks:
+        for a, b in itertools.combinations(_bits(own), 2):
             covers.append(g.edge_set(1 << a | 1 << b))
     covers.sort(key=lambda s: (len(s), s.mask))
     return covers
@@ -212,10 +197,7 @@ def paper_ordering(g: ChainGraph, ideal: MonomialIdeal) -> list[int]:
     edge last.  Ties inside a block go by the removal's label tuple.  With
     one cycle this degenerates to label order.
     """
-    commons_mask = 0
-    for idx in g.common_edge_indices:
-        commons_mask |= 1 << idx
-    head = commons_mask | 1 << g.cycle_offsets[g.r - 1]
+    head = g.shared_mask | 1 << g.cycle_offsets[g.r - 1]
 
     def block(removed: int) -> int:
         if removed == head:
@@ -248,22 +230,6 @@ class QuotientCertificate:
     witnesses: tuple[int, ...]
 
 
-def _scan_step(earlier: list[int], m: int) -> tuple[int, int | None]:
-    """Mindeg of (earlier : m) by scanning every earlier generator, with
-    the smallest witness variable when the mindeg is 1."""
-    best = None
-    best_var = None
-    for g in earlier:
-        d = g & ~m
-        size = d.bit_count()
-        if best is None or size < best:
-            best = size
-            best_var = (d & -d).bit_length() - 1 if size == 1 else None
-        elif size == 1 == best:
-            best_var = min(best_var, d.bit_length() - 1)
-    return best, best_var
-
-
 def _bits(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
@@ -282,8 +248,9 @@ def _exchange_witness(
     return None
 
 
-def _one_degree(gens) -> bool:
-    return len({len(g) for g in gens}) <= 1
+def _require_one_degree(gens) -> None:
+    if len({len(g) for g in gens}) > 1:
+        raise ValueError("the certificate needs generators of one degree")
 
 
 def quasi_linear_certificate(
@@ -292,15 +259,16 @@ def quasi_linear_certificate(
     """Check mindeg((m_1..m_{p-1}) : m_p) == 1 along the ordering.
 
     Raises CertificateFails at the first position where the prefix colon's
-    minimum degree is not 1.  Success returns the smallest witness variable
-    for every step.
+    minimum degree is not 1, and ValueError for generators of more than
+    one degree.  Success returns the smallest witness variable for every
+    step.
 
-    With generators of one degree, distinct generators never nest, so the
-    colon has mindeg 1 exactly when an exchange m_p - x + y is an earlier
-    generator, and its smallest witness is the smallest such y.  Each step
-    tries y ascending and x over m_p against a dict of positions, about
-    |m_p| (n - |m_p|) lookups.  Only a step with no hit (to report its true
-    mindeg) and an ideal of mixed degrees scan the earlier generators.
+    Distinct generators of one degree never nest, so the colon has mindeg
+    1 exactly when an exchange m_p - x + y is an earlier generator, and
+    its smallest witness is the smallest such y.  Each step tries y
+    ascending and x over m_p against a dict of positions, about
+    |m_p| (n - |m_p|) lookups.  Only a step with no hit runs colon_mindeg
+    on the earlier generators, to report its true mindeg.
     """
     gens = ideal.generators
     ordering = tuple(ordering)
@@ -308,18 +276,17 @@ def quasi_linear_certificate(
         raise ValueError("ordering is not a permutation of the generators")
     if not gens:
         raise EmptyIdeal("certificate needs at least one generator")
+    _require_one_degree(gens)
     masks = [gens[i].mask for i in ordering]
-    position = {m: p for p, m in enumerate(masks)} if _one_degree(gens) else None
+    position = {m: p for p, m in enumerate(masks)}
     witnesses: list[int] = []
     for p in range(1, len(masks)):
-        m = masks[p]
-        var = None
-        if position is not None:
-            var = _exchange_witness(position, m, p, ideal.ground_size)
+        var = _exchange_witness(position, masks[p], p, ideal.ground_size)
         if var is None:
-            best, var = _scan_step(masks[:p], m)
-            if best != 1:
-                raise CertificateFails(p + 1, best)
+            earlier = MonomialIdeal(
+                ideal.ground_size, tuple(gens[i] for i in ordering[:p])
+            )
+            raise CertificateFails(p + 1, colon_mindeg(earlier, gens[ordering[p]])[0])
         witnesses.append(var)
     return QuotientCertificate(ordering, tuple(witnesses))
 
@@ -327,24 +294,22 @@ def quasi_linear_certificate(
 def replay_certificate(ideal: MonomialIdeal, cert: QuotientCertificate) -> bool:
     """Re-verify a certificate from scratch: v * m_p must be a member of
     the ideal of the earlier generators, for every step.  An ordering that
-    is not a permutation of the generators certifies nothing.
+    is not a permutation of the generators certifies nothing, and
+    generators of more than one degree raise ValueError.
 
     With generators of one degree k, the only generators that can divide
     the k+1 variables of v * m_p are (m_p + v) - x for x in it, so
-    membership is |m_p| + 1 position lookups; mixed degrees scan.
+    membership is |m_p| + 1 position lookups.
     """
     gens = ideal.generators
     if sorted(cert.ordering) != list(range(len(gens))):
         return False
+    _require_one_degree(gens)
     masks = [gens[i].mask for i in cert.ordering]
-    position = {m: p for p, m in enumerate(masks)} if _one_degree(gens) else None
+    position = {m: p for p, m in enumerate(masks)}
     for p in range(1, len(masks)):
         target = masks[p] | 1 << cert.witnesses[p - 1]
-        if position is not None:
-            hit = any(position.get(target ^ 1 << x, p) < p for x in _bits(target))
-        else:
-            hit = any(g & target == g for g in masks[:p])
-        if not hit:
+        if not any(position.get(target ^ 1 << x, p) < p for x in _bits(target)):
             return False
     return True
 

@@ -1,9 +1,25 @@
 """Spanning-tree enumeration for chain-of-cycles graphs.
 
-The production route enumerates trees through the removal-set
+The production route lists trees through the removal-set
 characterization: a spanning tree deletes exactly one edge from each
 independent cycle, and deleting shared edges merges consecutive cycles
-into composite ones that then get exactly one deletion of their own.
+into composite blocks that then get exactly one deletion of their own.
+A block's candidates are the own edges of its cycles, the edges that lie
+on one cycle alone.
+
+The removal sets come from one walk over the cycles.  A partial removal
+is "unpicked" while its open block has no own edge yet and "picked" once
+it has one.  Start with unpicked = [0] and picked = [].  Cycle j adds
+every unpicked removal plus one own edge of cycle j to picked.  Before
+cycle j+1 the walk meets the shared edge s_j: an unpicked removal must
+delete s_j, merging its block into cycle j+1, and stays unpicked; a
+picked one either deletes s_j and stays picked, or keeps s_j, which
+closes its block and leaves it unpicked for the next.  After cycle r the
+picked removals are exactly the removal sets, each made once.  On sizes,
+with d = |picked| and e = |unpicked|, the walk is d += |own_j| e at
+cycle j and e += d at the shared edge after it, which is how
+count_trees_characterized counts the trees without listing them.
+
 Removal sets are classified by their shared-edge pattern:
 
     C1   no shared edge removed
@@ -13,16 +29,14 @@ Removal sets are classified by their shared-edge pattern:
     C3c  several shared edges, mixed runs
 
 The class is keyed on the set of removed shared edges decomposed into
-maximal consecutive runs; each run merges its cycles into one composite
-block, every untouched cycle is a block of its own, and a valid removal
-takes exactly one non-shared edge from each block's composite cycle.
+maximal consecutive runs; each run merges its cycles into one block, and
+every untouched cycle is a block of its own.
 
-Distinct removal sets leave distinct trees, so the characterization
-yields each tree exactly once; the test suite holds it to set equality
-with the brute-force enumeration and to the determinant count.
+Distinct removal sets leave distinct trees; the test suite holds the
+listing to set equality with the brute-force enumeration and to the
+determinant count.
 """
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -80,77 +94,44 @@ def _classify(num_removed_commons: int, runs: list[tuple[int, int]]) -> str:
     return "C3c"
 
 
-def _block_choices(g: ChainGraph, runs: list[tuple[int, int]]) -> list[list[int]]:
-    """One candidate edge list per block: the block's non-shared edges."""
-    commons = g.common_edge_indices
-    merged_cycles: set[int] = set()
-    blocks: list[list[int]] = []
-
-    def strip_boundaries(mask: int, first: int, last: int) -> list[int]:
-        if first >= 2:
-            mask &= ~(1 << commons[first - 2])
-        if last < g.r:
-            mask &= ~(1 << commons[last - 1])
-        return [e for e in range(g.n) if mask >> e & 1]
-
-    for a, b in runs:
-        mask = 0
-        for c in range(a, b + 2):
-            mask ^= g.simple_cycle_masks[c - 1]
-        blocks.append(strip_boundaries(mask, a, b + 1))
-        merged_cycles.update(range(a, b + 2))
-    for c in range(1, g.r + 1):
-        if c not in merged_cycles:
-            blocks.append(strip_boundaries(g.simple_cycle_masks[c - 1], c, c))
-    return blocks
+def _class_of(g: ChainGraph, pattern: int) -> str:
+    """The class of the removals whose removed shared edges are pattern."""
+    removed_js = [
+        j for j, i in enumerate(g.common_edge_indices, start=1) if pattern >> i & 1
+    ]
+    return _classify(len(removed_js), _consecutive_runs(removed_js))
 
 
 def enumerate_trees_characterized(g: ChainGraph) -> SpanningTreeSet:
-    """All spanning trees via the removal-set classes."""
-    commons = g.common_edge_indices
-    full = g.full_mask
-    found: list[tuple[int, int, str]] = []
+    """All spanning trees, from the walk over the cycles."""
+    unpicked, picked = [0], []
+    for j, own in enumerate(g.own_masks):
+        if j:
+            s = 1 << g.common_edge_indices[j - 1]
+            unpicked, picked = (
+                [m | s for m in unpicked] + picked,
+                [m | s for m in picked],
+            )
+        own_edges = [1 << e for e in g.edge_set(own)]
+        picked += [m | e for m in unpicked for e in own_edges]
 
-    for wsub in range(1 << (g.r - 1)):
-        removed_js = [j + 1 for j in range(g.r - 1) if wsub >> j & 1]
-        wmask = 0
-        for j in removed_js:
-            wmask |= 1 << commons[j - 1]
-        runs = _consecutive_runs(removed_js)
-        tag = _classify(len(removed_js), runs)
-        for picks in itertools.product(*_block_choices(g, runs)):
-            removed = wmask
-            for e in picks:
-                removed |= 1 << e
-            found.append((full ^ removed, removed, tag))
-
-    found.sort()
-    trees = tuple(g.edge_set(kept) for kept, _, _ in found)
-    removals = tuple(TreeRemoval(g.edge_set(removed), tag) for _, removed, tag in found)
-    by_class = Counter(tag for _, _, tag in found)
+    picked.sort(reverse=True)  # ascending kept edges
+    full, shared = g.full_mask, g.shared_mask
+    tags = {p: _class_of(g, p) for p in {m & shared for m in picked}}
+    trees = tuple(g.edge_set(full ^ m) for m in picked)
+    removals = tuple(TreeRemoval(g.edge_set(m), tags[m & shared]) for m in picked)
+    by_class = Counter(rm.class_tag for rm in removals)
     return SpanningTreeSet(
         trees, {tag: by_class[tag] for tag in CLASS_TAGS if by_class[tag]}, removals
     )
 
 
 def count_trees_characterized(g: ChainGraph) -> int:
-    """The tree count from the removal classes, without listing the trees.
-
-    A shared-edge pattern splits the cycles into blocks of consecutive
-    merged cycles, and a block offers one choice per non-shared edge of
-    its cycles.  Over cycles 1..j, let D_j sum the choice products of the
-    patterns whose last block ends at cycle j, and E_j = 1 + D_1 + ... +
-    D_j.  Cycle j with own_j non-shared edges adds own_j choices to every
-    block that ends at it, whichever cycle that block starts at, so
-    D_j = D_(j-1) + own_j * E_(j-1), and the count is D_r.  The time is
-    linear in r, where the patterns number 2^(r-1).
-    """
-    shared = 0
-    for i in g.common_edge_indices:
-        shared |= 1 << i
+    """The tree count from the walk's sizes, without listing the trees;
+    linear in r, where the shared-edge patterns number 2^(r-1)."""
     d, e = 0, 1
-    for cycle in g.simple_cycle_masks:
-        d += (cycle & ~shared).bit_count() * e
+    for own in g.own_masks:
+        d += own.bit_count() * e
         e += d
     return d
 

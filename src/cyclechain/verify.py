@@ -3,9 +3,9 @@
 Seven checks can fail the instance:
 
     trees          characterized enumeration == brute-force enumeration
-    count          tree count == Kirchhoff determinant
-    fvector        inclusion-exclusion f-vector == downset enumeration
-    hilbert        series expansion == HF(j) from the face counts, degrees 0..10
+    count          count from the removal walk == Kirchhoff determinant
+    fvector        inclusion-exclusion f-vector == faces of the brute-force trees
+    hilbert        series expansion == HF(j) from those face counts, degrees 0..10
     covers         predicted minimal covers == exhaustive transversals
     decomposition  intersection of the oracle-cover primes == facet ideal
     cm             quotient certificate succeeds and replays
@@ -15,11 +15,14 @@ drift and the nine-row intersection predictor drift.  A check whose oracle
 would outgrow its cap is reported as skipped, also without failing the
 instance; mismatches are the only fatal status.
 
-Each oracle runs at most once per instance.  The fvector and hilbert
-checks share one face enumeration, and the covers and decomposition checks
-share one cover search, through a per-instance context that keeps each
-answer (or the SearchSpaceTooLarge it raised) for the next check that asks.
-The check that asks first carries the oracle's time in its elapsed.
+Each oracle runs at most once per instance.  The trees check and the
+face oracle share one brute-force tree enumeration, so the fvector and
+hilbert oracles read only the graph; those two checks share one face
+count, and the covers and decomposition checks share one cover search,
+through a per-instance context that keeps each answer (or the
+SearchSpaceTooLarge it raised) for the next check that asks.  The check
+that asks first carries the oracle's time in its elapsed.  A tree
+enumeration over its cap therefore skips fvector and hilbert as well.
 
 Every detail payload is plain JSON data so reports can cross process
 boundaries and be emitted verbatim.
@@ -30,7 +33,7 @@ import os
 import time
 from dataclasses import dataclass
 
-from . import hilbert, ideal, oracle, simplicial
+from . import hilbert, ideal, oracle, simplicial, spanning
 from .chain_graph import ChainGraph, build_chain_graph, intersection_report
 from .edgeset import EdgeSet
 from .errors import SearchSpaceTooLarge
@@ -102,8 +105,8 @@ def _set_diff_detail(g, left_name, left, right_name, right):
 
 
 class _Context:
-    """One instance's caps, its spanning complex and facet ideal, and the
-    oracle answers its checks share.
+    """One instance's graph and caps, its spanning complex and facet ideal,
+    and the oracle answers its checks share.
 
     Each shared answer is computed on first use and kept, a raised
     SearchSpaceTooLarge included, so a second check reports the same
@@ -111,6 +114,7 @@ class _Context:
     """
 
     def __init__(self, g: ChainGraph, tree_cap: int, face_cap: int):
+        self.g = g
         self.tree_cap = tree_cap
         self.face_cap = face_cap
         self.complex = simplicial.spanning_complex(g)
@@ -128,11 +132,23 @@ class _Context:
             raise error
         return value
 
+    def oracle_trees(self) -> list[int]:
+        """The spanning trees' edge masks by brute-force search."""
+        return self._once(
+            "trees",
+            lambda: oracle.spanning_tree_masks(
+                self.g.endpoints, self.g.num_vertices, self.tree_cap
+            ),
+        )
+
     def face_fvector(self) -> simplicial.FVector:
-        """The f-vector of the trees' downset, from the face oracle."""
+        """The f-vector of the brute-force trees' downset, from the face
+        oracle."""
         return self._once(
             "faces",
-            lambda: simplicial.f_vector_bruteforce(self.complex, self.face_cap),
+            lambda: simplicial.FVector(
+                tuple(oracle.downset_face_counts(self.oracle_trees(), self.face_cap))
+            ),
         )
 
     def oracle_covers(self) -> list[EdgeSet]:
@@ -145,14 +161,14 @@ class _Context:
 
 def _check_trees(g, ctx):
     mine = {f.mask for f in ctx.complex.facets}
-    ref = set(oracle.spanning_tree_masks(g.endpoints, g.num_vertices, ctx.tree_cap))
+    ref = set(ctx.oracle_trees())
     if mine == ref:
         return "match", None
     return "mismatch", _set_diff_detail(g, "characterized", mine, "oracle", ref)
 
 
 def _check_count(g, ctx):
-    mine = len(ctx.complex.facets)
+    mine = spanning.count_trees_characterized(g)
     ref = oracle.kirchhoff_count(g.endpoints, g.num_vertices)
     if mine == ref:
         return "match", None

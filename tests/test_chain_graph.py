@@ -55,6 +55,18 @@ def test_shared_edge_is_first_of_next_cycle(chain3):
     assert chain3.n == 7
 
 
+def test_shared_and_own_masks_split_the_cycles(fig1, chain3, triangle):
+    assert fig1.shared_mask == 0b1
+    assert fig1.own_masks == (0b110, 0b111000)
+    assert chain3.shared_mask == 0b1001
+    assert chain3.own_masks == (0b110, 0b10000, 0b1100000)
+    assert triangle.shared_mask == 0
+    assert triangle.own_masks == (0b111,)
+    for g in (fig1, chain3):
+        for cycle, own in zip(g.simple_cycle_masks, g.own_masks):
+            assert cycle == own | cycle & g.shared_mask
+
+
 @pytest.mark.parametrize(
     "r, m, forest",
     [

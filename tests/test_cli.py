@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import cyclechain
-from cyclechain import simplicial, spanning
+from cyclechain import EmptyIdeal, ideal, simplicial, spanning
 from cyclechain.cli import main
 
 
@@ -283,6 +283,15 @@ def test_internal_value_error_is_not_invalid_input(monkeypatch):
     monkeypatch.setattr(simplicial, "f_vector_exact", broken)
     with pytest.raises(ValueError, match="internal bug"):
         main(["fvector", *FIG1])
+
+
+def test_internal_empty_ideal_is_not_invalid_input(monkeypatch):
+    def broken(c):
+        raise EmptyIdeal("internal bug")
+
+    monkeypatch.setattr(ideal, "facet_ideal", broken)
+    with pytest.raises(EmptyIdeal, match="internal bug"):
+        main(["certify", *FIG1])
 
 
 def test_capacity_exit(capsys):

@@ -396,17 +396,9 @@ def test_exchange_lookup_matches_the_scan_on_random_orderings(fig1):
     assert failures >= 5
 
 
-def test_mixed_degrees_fall_back_to_the_scan():
+def test_mixed_degrees_are_rejected():
     ideal = _ideal(5, [0], [1, 2], [1, 3], [2, 3, 4])
-    cases = {
-        (0, 1, 2, 3): ("ok", (0, 0, 0)),
-        (1, 3, 2, 0): ("fails", 4, 2),
-        (3, 0, 1, 2): ("fails", 2, 3),
-        (1, 2, 3, 0): ("fails", 4, 2),
-    }
-    for order, expected in cases.items():
-        assert _reference_certificate(ideal, order) == expected
-        assert _certificate(ideal, order) == expected
-    cert = quasi_linear_certificate(ideal, (0, 1, 2, 3))
-    assert replay_certificate(ideal, cert)
-    assert not replay_certificate(ideal, QuotientCertificate(cert.ordering, (0, 4, 0)))
+    with pytest.raises(ValueError, match="one degree"):
+        quasi_linear_certificate(ideal, (0, 1, 2, 3))
+    with pytest.raises(ValueError, match="one degree"):
+        replay_certificate(ideal, QuotientCertificate((0, 1, 2, 3), (0, 0, 0)))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -12,7 +13,7 @@ from cyclechain import (
     family_instances,
 )
 from cyclechain.edgeset import EdgeSet
-from cyclechain.spanning import _block_choices, _consecutive_runs
+from cyclechain.spanning import _classify, _consecutive_runs
 
 
 def _removed_labels(g, sts):
@@ -99,6 +100,62 @@ def test_count_matches_the_enumeration_on_the_family():
     for r, m, t in family_instances(3, 5, 1):
         g = build_chain_graph(r, m, t)
         assert count_trees_characterized(g) == len(enumerate_trees_characterized(g))
+
+
+def _block_choices(g, runs):
+    """One candidate edge list per block of the shared-edge pattern with
+    these runs: the non-shared edges of the block's composite cycle."""
+    commons = g.common_edge_indices
+    merged_cycles = set()
+    blocks = []
+
+    def strip_boundaries(mask, first, last):
+        if first >= 2:
+            mask &= ~(1 << commons[first - 2])
+        if last < g.r:
+            mask &= ~(1 << commons[last - 1])
+        return [e for e in range(g.n) if mask >> e & 1]
+
+    for a, b in runs:
+        mask = 0
+        for c in range(a, b + 2):
+            mask ^= g.simple_cycle_masks[c - 1]
+        blocks.append(strip_boundaries(mask, a, b + 1))
+        merged_cycles.update(range(a, b + 2))
+    for c in range(1, g.r + 1):
+        if c not in merged_cycles:
+            blocks.append(strip_boundaries(g.simple_cycle_masks[c - 1], c, c))
+    return blocks
+
+
+def _enumerate_by_patterns(g):
+    """(kept, removed, class) for every tree, ascending: one block choice
+    per block, over all 2^(r-1) shared-edge patterns."""
+    found = []
+    for wsub in range(1 << (g.r - 1)):
+        removed_js = [j + 1 for j in range(g.r - 1) if wsub >> j & 1]
+        wmask = 0
+        for j in removed_js:
+            wmask |= 1 << g.common_edge_indices[j - 1]
+        runs = _consecutive_runs(removed_js)
+        tag = _classify(len(removed_js), runs)
+        for picks in itertools.product(*_block_choices(g, runs)):
+            removed = wmask
+            for e in picks:
+                removed |= 1 << e
+            found.append((g.full_mask ^ removed, removed, tag))
+    return sorted(found)
+
+
+def test_walk_lists_what_the_pattern_product_lists_on_the_family():
+    for r, m, t in family_instances(4, 5, 3):
+        g = build_chain_graph(r, m, t)
+        sts = enumerate_trees_characterized(g)
+        listed = [
+            (tree.mask, rm.removed.mask, rm.class_tag)
+            for tree, rm in zip(sts.trees, sts.removals)
+        ]
+        assert listed == _enumerate_by_patterns(g), (r, m, t)
 
 
 def _count_by_patterns(g):

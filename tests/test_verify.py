@@ -15,6 +15,7 @@ from cyclechain import (
     ideal,
     oracle,
     simplicial,
+    spanning,
     spanning_complex,
     verify,
     verify_family,
@@ -141,9 +142,13 @@ def _count_calls(monkeypatch, *names, module=oracle):
 @pytest.mark.parametrize("graph", ["fig1", "chain3"])
 def test_each_shared_oracle_runs_once_per_instance(monkeypatch, request, graph):
     g = request.getfixturevalue(graph)
-    calls = _count_calls(monkeypatch, "downset_faces", "minimal_hitting_sets")
+    calls = _count_calls(
+        monkeypatch, "spanning_tree_masks", "downset_faces", "minimal_hitting_sets"
+    )
     report = verify_instance(g)
-    assert calls == {"downset_faces": 1, "minimal_hitting_sets": 1}
+    assert calls == {
+        "spanning_tree_masks": 1, "downset_faces": 1, "minimal_hitting_sets": 1,
+    }
     statuses = _statuses(report)
     assert statuses["fvector"] == statuses["hilbert"] == "match"
     assert statuses["decomposition"] == "match"
@@ -170,6 +175,41 @@ def test_capped_face_oracle_skips_both_checks_after_one_call(monkeypatch, fig1):
     assert fvector.status == hilbert.status == "skipped"
     assert fvector.detail == hilbert.detail
     assert "cap of 50" in fvector.detail
+    assert report.ok
+
+
+def test_count_check_tests_the_shipped_count(monkeypatch, fig1):
+    assert _statuses(verify_instance(fig1, checks=("count",)))["count"] == "match"
+    monkeypatch.setattr(spanning, "count_trees_characterized", lambda g: 12)
+    report = verify_instance(fig1, checks=("count",))
+    (count,) = report.checks
+    assert count.status == "mismatch"
+    assert count.detail == {"characterized": 12, "determinant": 11}
+
+
+def test_face_oracles_read_only_the_graph(monkeypatch, fig1):
+    # a production listing that loses a tree fails the trees check, but
+    # the face oracle and the Hilbert oracle close the downset of the
+    # brute-force trees, so fvector and hilbert still hold
+    real = simplicial.enumerate_trees_characterized
+    expected = hilbert_function_oracle(fig1, 10)
+
+    def drop_one(g):
+        sts = real(g)
+        return spanning.SpanningTreeSet(sts.trees[1:], sts.by_class, sts.removals[1:])
+
+    monkeypatch.setattr(simplicial, "enumerate_trees_characterized", drop_one)
+    statuses = _statuses(verify_instance(fig1, checks=("trees", "fvector", "hilbert")))
+    assert statuses == {"trees": "mismatch", "fvector": "match", "hilbert": "match"}
+    assert hilbert_function_oracle(fig1, 10) == expected
+
+
+def test_tree_cap_skips_the_face_checks_too(fig1):
+    report = verify_instance(fig1, checks=("trees", "fvector", "hilbert"), tree_cap=5)
+    assert set(_statuses(report).values()) == {"skipped"}
+    assert {c.detail for c in report.checks} == {
+        "45 deletion candidates exceed the cap of 5"
+    }
     assert report.ok
 
 
