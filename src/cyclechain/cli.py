@@ -313,8 +313,15 @@ def _report_lines(rep) -> list[str]:
 
 
 def cmd_verify(args) -> int:
+    if args.jobs < 1:
+        raise InvalidInput(f"--jobs needs at least 1, got {args.jobs}")
+    for flag, cap in (("--tree-cap", args.tree_cap), ("--face-cap", args.face_cap)):
+        if cap < 0:
+            raise InvalidInput(f"{flag} needs a cap >= 0, got {cap}")
     checks = _parse_checks(args.checks)
     if args.family:
+        if any(v is not None for v in (args.spec, args.r, args.m, args.t)):
+            raise InvalidInput("--family cannot be combined with --spec/--r/--m/--t")
         rmax, mmax, tmax = _parse_family(args.family)
         reports = verify.verify_family(
             rmax,

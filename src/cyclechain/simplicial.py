@@ -7,13 +7,15 @@ that contain no cycle.  The f-vector is computed three ways:
     face oracle's subset closure over one bitmap.
   * f_vector_exact: inclusion-exclusion over the 2^tau cycle subsets with
     union sizes read off the actual edge sets.  This is the normative route.
-    The subsets are folded in one cycle at a time into signed counts per
-    distinct union, which are far fewer than the subsets (233 at r = 6,
-    against 2^21).
   * f_vector_pairwise_form: the same sum, but with each union size replaced
     by the pairwise estimate sum(|C|) - sum(|C_u & C_v|).  Higher-order
     overlaps are ignored there, so it can drift from the exact count; the
     comparison object records where.
+
+Both sums run through one fold that takes in one cycle at a time and keeps
+a signed subset count per key: the union mask for the exact route (233 keys
+at r = 6, against 2^21 subsets), and the estimate so far with its pending
+pair sums for the pairwise route.
 
 For r = 2 the pairwise estimate is also spelled out as the literal
 eight-term binomial expression (f_vector_r2_closed_form), which the test
@@ -100,64 +102,50 @@ def f_vector_bruteforce(c: SimplicialComplex, cap: int = 1 << 24) -> FVector:
     return FVector(tuple(counts))
 
 
-def _check_subset_cap(g: ChainGraph) -> int:
-    """The cycle count tau, once 2^tau subsets are known to be within the cap."""
+def _check_subset_cap(g: ChainGraph) -> None:
     tau = g.r * (g.r + 1) // 2
     if tau > MAX_CYCLE_SUBSETS:
         raise SearchSpaceTooLarge(
             f"{tau} cycles means 2^{tau} subsets; limit is 2^{MAX_CYCLE_SUBSETS}"
         )
-    return tau
 
 
-def _signed_coefficients(g: ChainGraph, union_size) -> Counter:
-    """Signed multiplicity of each union size over all cycle subsets.
+def _fold_cycle_subsets(g: ChainGraph, start, cycles, step, size) -> FVector:
+    """f_i = sum over cycle subsets S of (-1)^|S| C(n - u, i+1 - u), where
+    u = size(key) for the key that stands for S.
 
-    union_size(subset bitmask over the cycle list) -> int; collapsing the
-    2^tau sum by size keeps the binomial stage linear in n.
+    Starting from {start: 1}, each cycle maps every key through
+    step(key, cycle) to the keys of its subsets without and with that cycle;
+    keys whose signed subset count cancels are dropped.
     """
-    tau = _check_subset_cap(g)
+    _check_subset_cap(g)
+    signed = {start: 1}
+    for cycle in cycles:
+        folded: dict = {}
+        for key, count in signed.items():
+            without, taken = step(key, cycle)
+            folded[without] = folded.get(without, 0) + count
+            folded[taken] = folded.get(taken, 0) - count
+        signed = {key: count for key, count in folded.items() if count}
     coef: Counter = Counter()
-    for s in range(1 << tau):
-        coef[union_size(s)] += -1 if s.bit_count() & 1 else 1
-    return coef
-
-
-def _assemble(g: ChainGraph, coef: Counter) -> FVector:
-    entries = []
-    for i in range(g.num_vertices - 1):
-        entries.append(
-            sum(c * binom(g.n - u, i + 1 - u) for u, c in coef.items() if c)
-        )
-    return FVector(tuple(entries))
+    for key, count in signed.items():
+        coef[size(key)] += count
+    return FVector(tuple(
+        sum(c * binom(g.n - u, i + 1 - u) for u, c in coef.items())
+        for i in range(g.num_vertices - 1)
+    ))
 
 
 def f_vector_exact(g: ChainGraph) -> FVector:
-    """Inclusion-exclusion with true union sizes.
+    """Inclusion-exclusion with true union sizes, keyed on the union mask.
 
     A size-(i+1) edge set is a face iff it contains no cycle, so
     f_i = sum over cycle subsets S of (-1)^|S| C(n - |union S|, i+1 - |union S|).
-
-    The terms depend on S only through its union, so the subsets are folded
-    in one cycle at a time as {union mask: signed subset count}; unions
-    whose count cancels to zero are dropped as they appear.
     """
-    _check_subset_cap(g)
-    signed = {0: 1}
-    for cycle in all_cycles(g):
-        step = dict(signed)
-        for union, count in signed.items():
-            grown = union | cycle.edges.mask
-            total = step.get(grown, 0) - count
-            if total:
-                step[grown] = total
-            else:
-                step.pop(grown, None)
-        signed = step
-    coef: Counter = Counter()
-    for union, count in signed.items():
-        coef[union.bit_count()] += count
-    return _assemble(g, coef)
+    masks = (c.edges.mask for c in all_cycles(g))
+    return _fold_cycle_subsets(
+        g, 0, masks, lambda union, mask: (union, union | mask), int.bit_count
+    )
 
 
 @dataclass(frozen=True)
@@ -180,24 +168,32 @@ class FVectorComparison:
         return not self.mismatched_indices
 
 
+def _take_pairwise(key, cycle):
+    """pending holds, for each cycle l not yet folded, the sum of
+    |C_i & C_l| over the chosen cycles i; the next cycle's is pending[0]."""
+    estimate, pending = key
+    length, overlaps = cycle
+    taken = tuple(p + o for p, o in zip(pending[1:], overlaps))
+    return (estimate, pending[1:]), (estimate + length - pending[0], taken)
+
+
 def f_vector_pairwise_form(g: ChainGraph) -> FVector:
     """Inclusion-exclusion with union sizes estimated pairwise only:
-    |union S| ~ sum |C| - sum over pairs |C_u & C_v|."""
-    cycles = all_cycles(g)
-    sizes = [len(c.edges) for c in cycles]
-    pair = [
-        [len(a.edges & b.edges) for b in cycles] for a in cycles
-    ]
+    |union S| ~ sum |C| - sum over pairs |C_u & C_v|.
 
-    def union_size(s: int) -> int:
-        members = [i for i in range(len(cycles)) if s >> i & 1]
-        total = sum(sizes[i] for i in members)
-        for x, i in enumerate(members):
-            for j in members[x + 1 :]:
-                total -= pair[i][j]
-        return total
-
-    return _assemble(g, _signed_coefficients(g, union_size))
+    What a later cycle adds depends on which cycles were chosen, not only on
+    the estimate so far, so the fold keys on (estimate, pending pair sums).
+    Folding in (start, span) order holds fewer keys than the (span, start)
+    order of all_cycles: at most 16,329 against 59,835 on (6, [3,3,4,4,5,5], 0).
+    """
+    cycles = sorted(all_cycles(g), key=lambda c: c.start)
+    later = (
+        (len(c.edges), [len(c.edges & d.edges) for d in cycles[k + 1 :]])
+        for k, c in enumerate(cycles)
+    )
+    return _fold_cycle_subsets(
+        g, (0, (0,) * len(cycles)), later, _take_pairwise, lambda key: key[0]
+    )
 
 
 def f_vector_r2_closed_form(g: ChainGraph) -> FVector:

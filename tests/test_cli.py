@@ -268,12 +268,29 @@ def test_unreadable_arguments_exit_2(capsys):
         ("verify", "--family", "0,3,0"),
         ("verify", "--family", "2,x,0"),
         ("verify", "--family", "2,3"),
+        ("verify", "--family", "1,3,0", "--r", "5", "--m", "3,3,3,3,3"),
+        ("verify", "--family", "1,3,0", "--spec", "/nonexistent"),
+        ("verify", "--family", "1,3,0", "--t", "1"),
+        ("verify", *FIG1, "--jobs", "0"),
+        ("verify", "--family", "1,3,0", "--jobs", "-3"),
+        ("verify", *FIG1, "--tree-cap", "-1"),
+        ("verify", *FIG1, "--face-cap", "-1"),
         ("hilbert", *FIG1, "--expand", "-1"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_zero_caps_skip_the_capped_oracles(capsys):
+    code, obj, _ = run_json(
+        capsys, "verify", "--r", "1", "--m", "4", "--t", "1",
+        "--tree-cap", "0", "--face-cap", "0",
+    )
+    assert code == 0
+    status = {c["name"]: c["status"] for c in obj["checks"]}
+    assert status["trees"] == status["fvector"] == status["hilbert"] == "skipped"
 
 
 def test_internal_value_error_is_not_invalid_input(monkeypatch):
@@ -297,8 +314,11 @@ def test_internal_empty_ideal_is_not_invalid_input(monkeypatch):
 def test_capacity_exit(capsys):
     code, _, err = run(capsys, "gen", "--r", "1", "--m", "70")
     assert code == 3 and "capacity" in err
-    code, _, _ = run(capsys, "fvector", "--r", "7", "--m", "3,3,3,3,3,3,3")
-    assert code == 3
+    for method in ("exact", "paper"):
+        code, out, _ = run(
+            capsys, "fvector", "--method", method, "--r", "7", "--m", "3,3,3,3,3,3,3"
+        )
+        assert code == 3 and out == ""
 
 
 def test_hilbert_expand_is_capped(capsys):

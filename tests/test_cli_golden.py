@@ -32,12 +32,16 @@ GOLDEN = [
      "c73e3daa535bcb0411e98c44ea235f4d80ee53b0b773ea8fec1bc883d171a499"),
     ("fvector --method paper --r 3 --m 4,5,3 --t 2", 0,
      "9bacde9796aaaaa6c4e43c2fdba93fc2e6d53aa7abba62b0dfa670c00eeec9a4"),
+    ("fvector --method paper --r 6 --m 4,4,4,4,4,4", 0,
+     "4508f06ba629d13f7eea673a25fe381346bb06f15a92abb685575738f3a1433f"),
     ("hilbert --r 3 --m 4,5,6 --t 2 --expand 50", 0,
      "4328dfa6dc952e9cff1b5cdf76cf0e20ca174d1618e23e6b2cad7d75566ff3e1"),
     ("verify --family 2,4,1", 5,
      "f08a1e215b0d9aa85f03a3edcca645f5fbf4be6814381da5ca3e86ff3fa16aaa"),
     ("verify --r 3 --m 4,4,4 --face-cap 100", 5,
      "dd77a4493d3bb9a1894de32be37baa2641334b0477a0b42b7a6e9c2975c3d2d3"),
+    ("verify --r 6 --m 5,5,5,5,5,5 --checks fvector", 0,
+     "96bbc4f341b618de2394406a5fee33ed0143d3c58f1533c9c677bc9786308c07"),
 ]
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -17,6 +18,8 @@ from cyclechain import (
     spanning_complex,
 )
 from cyclechain.edgeset import EdgeSet
+from cyclechain.util import binom
+from cyclechain.verify import family_instances
 
 
 def _complex(ground, *facets):
@@ -90,6 +93,47 @@ def test_pairwise_form_drifts_at_three_cycles(chain3):
     assert not comparison.agree
     assert comparison.mismatched_indices == (0, 1, 2, 3)
     assert comparison.r2_closed_form is None
+
+
+def _pairwise_subset_walk(g):
+    """The pairwise form summed subset by subset over all 2^tau subsets."""
+    cycles = all_cycles(g)
+    sizes = [len(c.edges) for c in cycles]
+    pair = [[len(a.edges & b.edges) for b in cycles] for a in cycles]
+    coef = Counter()
+    for s in range(1 << len(cycles)):
+        members = [i for i in range(len(cycles)) if s >> i & 1]
+        estimate = sum(sizes[i] for i in members) - sum(
+            pair[i][j] for x, i in enumerate(members) for j in members[x + 1 :]
+        )
+        coef[estimate] += -1 if len(members) & 1 else 1
+    return tuple(
+        sum(c * binom(g.n - u, i + 1 - u) for u, c in coef.items())
+        for i in range(g.num_vertices - 1)
+    )
+
+
+def test_pairwise_form_equals_the_subset_walk():
+    specs = family_instances(4, 5, 3) + [(5, [4] * 5, 0), (5, [6, 3, 5, 4, 3], 2)]
+    graphs = [build_chain_graph(r, list(m), t) for r, m, t in specs]
+    for g in graphs:
+        assert f_vector_pairwise_form(g).f == _pairwise_subset_walk(g), g
+
+
+def test_pairwise_form_at_six_cycles():
+    # pinned from the subset walk above, which takes about 16 s on a 2-core VM
+    g = build_chain_graph(6, [3, 3, 4, 4, 5, 5], 0)
+    assert f_vector_pairwise_form(g).f == (
+        -300509640658481859047302971200,
+        -6122209924445692635733240120,
+        -104368615704911378143933788,
+        -1429869096481027365827600,
+        -14822190398843175002687,
+        -105443342767469014938,
+        -429781930402525320,
+        -651748158226728,
+        0, 0, 0, 0, 0,
+    )
 
 
 def test_r2_closed_form(fig1):
