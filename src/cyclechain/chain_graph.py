@@ -58,9 +58,11 @@ EdgeLabel = CycleEdge | ForestEdge
 class ChainGraph:
     """Immutable labeled chain-of-cycles graph.
 
-    Instances are only built through build_chain_graph, which also runs the
-    structural validation.  Equality and hashing use the defining data
-    (r, m, forest attachments), so graphs work as dict keys.
+    Instances are only built through build_chain_graph, which rejects
+    malformed parameters; the edge layout it produces is checked by the
+    tests against the oracles, which read only endpoints.  Equality and
+    hashing use the defining data (r, m, forest attachments), so graphs
+    work as dict keys.
     """
 
     def __init__(
@@ -109,15 +111,6 @@ class ChainGraph:
         if not 0 <= index < self.n:
             raise IndexOutOfRange(f"edge index {index} outside 0..{self.n - 1}")
         return self.labels[index]
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per vertex: tuple of (neighbor, edge index)."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.num_vertices)]
-        for e, (u, v) in enumerate(self.endpoints):
-            adj[u].append((v, e))
-            adj[v].append((u, e))
-        return tuple(tuple(a) for a in adj)
 
     @cached_property
     def cycle_offsets(self) -> tuple[int, ...]:
@@ -266,50 +259,7 @@ def build_chain_graph(r: int, m, forest=0) -> ChainGraph:
             attachments.append(a)
             next_vertex += 1
 
-    g = ChainGraph(r, m, tuple(endpoints), tuple(labels), tuple(attachments))
-    _validate(g)
-    return g
-
-
-def _validate(g: ChainGraph) -> None:
-    # Construction bugs, not user errors, so plain RuntimeError.
-    if g.num_vertices != max(v for uv in g.endpoints for v in uv) + 1:
-        raise RuntimeError("vertex count does not match n - r + 1")
-    seen = [False] * g.num_vertices
-    stack = [0]
-    seen[0] = True
-    while stack:
-        u = stack.pop()
-        for v, _ in g.adjacency[u]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    if not all(seen):
-        raise RuntimeError("graph is not connected")
-    for j in range(g.r):
-        for jj in range(j + 1, g.r):
-            shared = (g.simple_cycle_masks[j] & g.simple_cycle_masks[jj]).bit_count()
-            want = 1 if jj == j + 1 else 0
-            if shared != want:
-                raise RuntimeError(f"cycles {j + 1} and {jj + 1} share {shared} edges")
-    cyc_all = 0
-    for mask in g.simple_cycle_masks:
-        cyc_all |= mask
-    parent = list(range(g.num_vertices))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e, (u, v) in enumerate(g.endpoints):
-        if cyc_all >> e & 1:
-            continue
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            raise RuntimeError("edges outside the cycles contain a cycle")
-        parent[ru] = rv
+    return ChainGraph(r, m, tuple(endpoints), tuple(labels), tuple(attachments))
 
 
 @dataclass(frozen=True)
@@ -332,8 +282,6 @@ def composite_cycle(g: ChainGraph, i: int, k: int) -> CompositeCycle:
     mask = 0
     for a in range(i, i + k + 1):
         mask ^= g.simple_cycle_masks[a - 1]
-    if not _is_simple_cycle(g, mask):
-        raise RuntimeError(f"composite ({i},{k}) is not a simple cycle")
     return CompositeCycle(i, k, g.edge_set(mask))
 
 
@@ -350,32 +298,6 @@ def all_cycles(g: ChainGraph) -> list[CompositeCycle]:
         for i in range(1, g.r - k + 1):
             out.append(composite_cycle(g, i, k))
     return out
-
-
-def _is_simple_cycle(g: ChainGraph, mask: int) -> bool:
-    if mask == 0:
-        return False
-    degree: dict[int, int] = {}
-    for e in range(g.n):
-        if mask >> e & 1:
-            u, v = g.endpoints[e]
-            degree[u] = degree.get(u, 0) + 1
-            degree[v] = degree.get(v, 0) + 1
-    if any(d != 2 for d in degree.values()):
-        return False
-    start = next(iter(degree))
-    seen_v = {start}
-    seen_e = 0
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v, e in g.adjacency[u]:
-            if mask >> e & 1 and not seen_e >> e & 1:
-                seen_e |= 1 << e
-                if v not in seen_v:
-                    seen_v.add(v)
-                    stack.append(v)
-    return len(seen_v) == len(degree) and seen_e == mask
 
 
 def cycle_intersection_size(g: ChainGraph, a: CompositeCycle, b: CompositeCycle) -> int:

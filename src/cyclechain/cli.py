@@ -192,7 +192,7 @@ def cmd_fvector(args) -> int:
         fv = simplicial.f_vector_bruteforce(simplicial.spanning_complex(g))
         obj = {"f": list(fv.f), "dim": fv.dim}
     else:
-        cmp = simplicial.f_vector_paper(g)
+        cmp = simplicial.f_vector_paper(g, simplicial.f_vector_exact(g))
         obj = {
             "exact": list(cmp.exact.f),
             "pairwise_form": list(cmp.pairwise_form.f),

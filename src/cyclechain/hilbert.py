@@ -79,7 +79,7 @@ def hilbert_series(fv: FVector) -> RationalSeries:
     return RationalSeries(IntPolynomial.of(h), d + 1)
 
 
-def hilbert_function_oracle(g: ChainGraph, upto: int, cap: int = 1 << 24) -> list[int]:
+def hilbert_function_oracle(g: ChainGraph, upto: int) -> list[int]:
     """[HF(0), ..., HF(upto)] for the face ring, independently: from the
     faces of the downset of the brute-force spanning trees, which read
     only the graph.
@@ -93,7 +93,7 @@ def hilbert_function_oracle(g: ChainGraph, upto: int, cap: int = 1 << 24) -> lis
     if upto == 0:
         return [1]  # without counting the faces
     trees = oracle.spanning_tree_masks(g.endpoints, g.num_vertices)
-    fv = FVector(tuple(oracle.downset_face_counts(trees, cap)))
+    fv = FVector(tuple(oracle.downset_face_counts(trees)))
     return _hilbert_function_from_faces(fv, upto)
 
 

@@ -85,19 +85,18 @@ class VariablePrime:
 def facet_ideal(c: SimplicialComplex) -> MonomialIdeal:
     """Generators are the facets, read as square-free supports.
 
-    The complex has already rejected duplicate and nested facets, so the
-    facets are a minimal generating system as they stand; they only need
-    the (size, value) order that MonomialIdeal.of gives.
+    The complex has already rejected duplicate facets and facets of mixed
+    sizes, so no facet divides another and the facets are a minimal
+    generating system as they stand; they only need the (size, value) order
+    that MonomialIdeal.of gives.
     """
     gens = sorted(c.facets, key=lambda f: (len(f), f.mask))
     return MonomialIdeal(c.ground_size, tuple(gens))
 
 
-def minimal_vertex_covers_oracle(
-    c: SimplicialComplex, cap: int = 10**6
-) -> list[EdgeSet]:
+def minimal_vertex_covers_oracle(c: SimplicialComplex) -> list[EdgeSet]:
     """All minimal covers by exhaustive transversal search (oracle route)."""
-    masks = oracle.minimal_hitting_sets([f.mask for f in c.facets], cap)
+    masks = oracle.minimal_hitting_sets([f.mask for f in c.facets])
     return [EdgeSet(m, c.ground_size) for m in masks]
 
 

@@ -206,6 +206,9 @@ def downset_face_counts(facet_masks, cap: int = 1 << 24) -> list[int]:
     return downset_faces(facet_masks, cap).counts()
 
 
+_TRANSVERSAL_CAP = 10**6
+
+
 def _minimal_masks(masks) -> list[int]:
     uniq = sorted(set(masks), key=lambda m: (m.bit_count(), m))
     keep: list[int] = []
@@ -215,12 +218,14 @@ def _minimal_masks(masks) -> list[int]:
     return keep
 
 
-def minimal_hitting_sets(sets, cap: int = 10**6) -> list[int]:
+def minimal_hitting_sets(sets) -> list[int]:
     """All inclusion-minimal transversals of a family of bitmask sets.
 
     Berge multiplication: fold the sets in one at a time, keeping the
     partial transversal family minimal after each step.  Sorted by
     (size, mask) on return.  An empty member admits no transversal.
+    Raises SearchSpaceTooLarge when a partial family outgrows
+    _TRANSVERSAL_CAP.
     """
     trans = [0]
     for s in sets:
@@ -237,9 +242,10 @@ def minimal_hitting_sets(sets, cap: int = 10**6) -> list[int]:
                     new.append(tmask | low)
                     rest ^= low
         trans = _minimal_masks(new)
-        if len(trans) > cap:
+        if len(trans) > _TRANSVERSAL_CAP:
             raise SearchSpaceTooLarge(
-                f"intermediate transversal family exceeds the cap of {cap}"
+                "intermediate transversal family exceeds the cap of "
+                f"{_TRANSVERSAL_CAP}"
             )
     trans.sort(key=lambda m: (m.bit_count(), m))
     return trans

@@ -136,9 +136,9 @@ def count_trees_characterized(g: ChainGraph) -> int:
     return d
 
 
-def enumerate_trees_oracle(g: ChainGraph, cap: int = 10**6) -> SpanningTreeSet:
+def enumerate_trees_oracle(g: ChainGraph) -> SpanningTreeSet:
     """Brute-force route; shares no logic with the characterization."""
-    masks = oracle.spanning_tree_masks(g.endpoints, g.num_vertices, cap)
+    masks = oracle.spanning_tree_masks(g.endpoints, g.num_vertices)
     return SpanningTreeSet(tuple(g.edge_set(m) for m in masks), {})
 
 

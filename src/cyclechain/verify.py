@@ -23,6 +23,9 @@ through a per-instance context that keeps each answer (or the
 SearchSpaceTooLarge it raised) for the next check that asks.  The check
 that asks first carries the oracle's time in its elapsed.  A tree
 enumeration over its cap therefore skips fvector and hilbert as well.
+The exact f-vector is kept the same way: the fvector and hilbert checks
+and the fvector_paper note read one computation, and over the cycle
+subset limit all three are skipped.
 
 Every detail payload is plain JSON data so reports can cross process
 boundaries and be emitted verbatim.
@@ -106,7 +109,7 @@ def _set_diff_detail(g, left_name, left, right_name, right):
 
 class _Context:
     """One instance's graph and caps, its spanning complex and facet ideal,
-    and the oracle answers its checks share.
+    and the answers its checks share: the exact f-vector and the oracles'.
 
     Each shared answer is computed on first use and kept, a raised
     SearchSpaceTooLarge included, so a second check reports the same
@@ -131,6 +134,10 @@ class _Context:
         if error is not None:
             raise error
         return value
+
+    def exact_fvector(self) -> simplicial.FVector:
+        """The f-vector by inclusion-exclusion over the cycle subsets."""
+        return self._once("exact", lambda: simplicial.f_vector_exact(self.g))
 
     def oracle_trees(self) -> list[int]:
         """The spanning trees' edge masks by brute-force search."""
@@ -176,7 +183,7 @@ def _check_count(g, ctx):
 
 
 def _check_fvector(g, ctx):
-    mine = simplicial.f_vector_exact(g)
+    mine = ctx.exact_fvector()
     ref = ctx.face_fvector()
     if mine.f == ref.f:
         return "match", None
@@ -189,7 +196,7 @@ def _check_fvector(g, ctx):
 
 
 def _check_hilbert(g, ctx):
-    series = hilbert.hilbert_series(simplicial.f_vector_exact(g))
+    series = hilbert.hilbert_series(ctx.exact_fvector())
     got = series.expand(HILBERT_DEGREES)
     want = hilbert._hilbert_function_from_faces(ctx.face_fvector(), HILBERT_DEGREES)
     if got == want:
@@ -231,7 +238,7 @@ def _check_cm(g, ctx):
 
 
 def _note_fvector_paper(g, ctx):
-    cmp = simplicial.f_vector_paper(g)
+    cmp = simplicial.f_vector_paper(g, ctx.exact_fvector())
     if cmp.agree:
         return "match", None
     return "mismatch", {

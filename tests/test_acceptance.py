@@ -108,7 +108,7 @@ def test_criterion_3_fvector_routes_agree():
         assert fv == f_vector_bruteforce(spanning_complex(g)), (g.r, g.m, g.t)
         assert fv[0] == g.n
         assert fv[fv.dim] == len(enumerate_trees_characterized(g))
-        comparison = f_vector_paper(g)
+        comparison = f_vector_paper(g, fv)
         assert comparison.agree == (g.r <= 2), (g.r, g.m, g.t)
     for r, m, t in FAMILY:
         if r != 2:

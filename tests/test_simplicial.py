@@ -40,10 +40,8 @@ def test_complex_validation():
 def test_complex_shape():
     c = _complex(4, [0, 1], [1, 2], [2, 3])
     assert c.dim == 1
-    assert c.is_pure
-    mixed = _complex(4, [0, 1, 2], [0, 3])
-    assert not mixed.is_pure
-    assert mixed.dim == 2
+    with pytest.raises(ValueError, match="has size 2, not 3"):
+        _complex(4, [0, 1, 2], [0, 3])
 
 
 def test_fvector_basics():
@@ -56,15 +54,15 @@ def test_spanning_complex(fig1):
     c = spanning_complex(fig1)
     assert c.ground_size == 10
     assert len(c.facets) == 11
-    assert c.is_pure
     assert c.dim == fig1.num_vertices - 2 == 7
 
 
 def test_bruteforce_on_tiny_complexes():
     assert f_vector_bruteforce(_complex(3, [0, 1], [1, 2], [0, 2])).f == (3, 3)
     assert f_vector_bruteforce(_complex(3, [0, 1, 2])).f == (3, 3, 1)
-    with pytest.raises(SearchSpaceTooLarge):
-        f_vector_bruteforce(spanning_complex(build_chain_graph(2, [3, 4], 4)), cap=10)
+    # each of the 29 trees of a 29-cycle has 2^28 - 1 faces, past the 2^24 cap
+    with pytest.raises(SearchSpaceTooLarge, match="cap of 16777216$"):
+        f_vector_bruteforce(spanning_complex(build_chain_graph(1, [29], 0)))
 
 
 def test_example_instance_fvector(fig1):
@@ -87,7 +85,7 @@ def test_pairwise_form_agrees_up_to_two_cycles(fig1, triangle):
 
 
 def test_pairwise_form_drifts_at_three_cycles(chain3):
-    comparison = f_vector_paper(chain3)
+    comparison = f_vector_paper(chain3, f_vector_exact(chain3))
     assert comparison.exact.f == (7, 21, 32, 21)
     assert comparison.pairwise_form.f == (89, 134, 121, 51)
     assert not comparison.agree
@@ -141,7 +139,7 @@ def test_r2_closed_form(fig1):
     for m in ([3, 3], [3, 5], [4, 6]):
         g = build_chain_graph(2, m, 1)
         assert f_vector_r2_closed_form(g) == f_vector_exact(g)
-    comparison = f_vector_paper(fig1)
+    comparison = f_vector_paper(fig1, f_vector_exact(fig1))
     assert comparison.agree
     assert comparison.r2_closed_form == comparison.exact
 

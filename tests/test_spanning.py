@@ -91,9 +91,11 @@ def test_matches_oracle_and_kirchhoff(small_instances):
         assert len(sts) == count_trees_kirchhoff(g)
 
 
-def test_oracle_cap(fig1):
-    with pytest.raises(SearchSpaceTooLarge):
-        enumerate_trees_oracle(fig1, cap=1)
+def test_oracle_cap():
+    # C(41, 8) = 95,548,245 ways to delete 8 of 41 edges, past the 10^6 cap
+    g = build_chain_graph(8, [6] * 8, 0)
+    with pytest.raises(SearchSpaceTooLarge, match="^95548245 deletion candidates"):
+        enumerate_trees_oracle(g)
 
 
 def test_count_matches_the_enumeration_on_the_family():

@@ -226,6 +226,24 @@ def test_each_stage_runs_once_per_instance(monkeypatch, fig1):
     assert ideals == {"facet_ideal": 1}
 
 
+def test_exact_fvector_is_computed_once_per_instance(monkeypatch, fig1):
+    calls = _count_calls(monkeypatch, "f_vector_exact", module=simplicial)
+    report = verify_instance(fig1)
+    assert calls == {"f_vector_exact": 1}
+    assert _statuses(report)["fvector"] == _statuses(report)["hilbert"] == "match"
+    assert _note_statuses(report)["fvector_paper"] == "match"
+
+
+def test_exact_fvector_over_its_cap_skips_both_checks_and_the_note():
+    report = verify_instance(build_chain_graph(7, [3] * 7, 0), checks=("fvector", "hilbert"))
+    (note,) = [c for c in report.notes if c.name == "fvector_paper"]
+    assert [(c.name, c.status, c.detail) for c in (*report.checks, note)] == [
+        (name, "skipped", "28 cycles means 2^28 subsets; limit is 2^21")
+        for name in ("fvector", "hilbert", "fvector_paper")
+    ]
+    assert report.ok
+
+
 def test_no_module_state_keeps_a_graph_alive():
     # a graph no other test builds, so a cache filled earlier cannot hide it
     g = build_chain_graph(2, [6, 3], 3)
