@@ -34,7 +34,6 @@ from .errors import (
     SearchSpaceTooLarge,
 )
 from .hilbert import (
-    IntPolynomial,
     RationalSeries,
     hilbert_function_oracle,
     hilbert_series,
@@ -43,7 +42,6 @@ from .ideal import (
     CMVerdict,
     MonomialIdeal,
     QuotientCertificate,
-    VariablePrime,
     cohen_macaulay_verdict,
     colon_mindeg,
     covers_lemma41,
@@ -55,7 +53,6 @@ from .ideal import (
     replay_certificate,
 )
 from .simplicial import (
-    FVector,
     FVectorComparison,
     SimplicialComplex,
     f_vector_bruteforce,

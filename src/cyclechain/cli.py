@@ -186,20 +186,20 @@ def cmd_trees(args) -> int:
 def cmd_fvector(args) -> int:
     g = _load_graph(args)
     if args.method == "exact":
-        fv = simplicial.f_vector_exact(g)
-        obj = {"f": list(fv.f), "dim": fv.dim}
+        f = simplicial.f_vector_exact(g)
+        obj = {"f": list(f), "dim": len(f) - 1}
     elif args.method == "brute":
-        fv = simplicial.f_vector_bruteforce(simplicial.spanning_complex(g))
-        obj = {"f": list(fv.f), "dim": fv.dim}
+        f = simplicial.f_vector_bruteforce(simplicial.spanning_complex(g))
+        obj = {"f": list(f), "dim": len(f) - 1}
     else:
         cmp = simplicial.f_vector_paper(g, simplicial.f_vector_exact(g))
         obj = {
-            "exact": list(cmp.exact.f),
-            "pairwise_form": list(cmp.pairwise_form.f),
+            "exact": list(cmp.exact),
+            "pairwise_form": list(cmp.pairwise_form),
             "agree": cmp.agree,
             "mismatched_indices": list(cmp.mismatched_indices),
             "r2_closed_form": (
-                list(cmp.r2_closed_form.f) if cmp.r2_closed_form else None
+                list(cmp.r2_closed_form) if cmp.r2_closed_form else None
             ),
         }
     lines = [f"{k}: {v}" for k, v in obj.items()]
@@ -217,7 +217,7 @@ def cmd_hilbert(args) -> int:
     g = _load_graph(args)
     series = hilbert.hilbert_series(simplicial.f_vector_exact(g))
     obj = {
-        "numerator": list(series.numerator.coefficients),
+        "numerator": list(series.numerator),
         "denom_power": series.denom_power,
         "expansion": series.expand(args.expand),
     }
@@ -250,7 +250,7 @@ def cmd_decompose(args) -> int:
     g = _load_graph(args)
     c = simplicial.spanning_complex(g)
     covers = ideal.minimal_vertex_covers_oracle(c)
-    met = ideal.intersect_primes((ideal.VariablePrime(s) for s in covers), g.n)
+    met = ideal.intersect_primes(covers, g.n)
     direct = ideal.facet_ideal(c)
     equal = met.generators == direct.generators
     obj = {

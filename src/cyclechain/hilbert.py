@@ -5,78 +5,54 @@ series is h(t) / (1-t)^(d+1), where h is the h-vector (Stanley,
 Combinatorics and Commutative Algebra, ch. II).
 """
 
+import itertools
 from dataclasses import dataclass
 
 from . import oracle
 from .chain_graph import ChainGraph
-from .simplicial import FVector
 from .util import binom
 
 
 @dataclass(frozen=True)
-class IntPolynomial:
-    """Dense integer polynomial; coefficients[d] is the degree-d coefficient."""
-
-    coefficients: tuple[int, ...]
-
-    @classmethod
-    def of(cls, coeffs) -> "IntPolynomial":
-        c = list(coeffs)
-        while c and c[-1] == 0:
-            c.pop()
-        return cls(tuple(c))
-
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
-
-@dataclass(frozen=True)
 class RationalSeries:
-    """numerator / (1-t)^denom_power."""
+    """numerator / (1-t)^denom_power, where numerator[k] is the coefficient
+    of t^k (for a face ring, the h-vector)."""
 
-    numerator: IntPolynomial
+    numerator: tuple[int, ...]
     denom_power: int
 
     def expand(self, upto: int) -> list[int]:
         """Power-series coefficients for degrees 0..upto.
 
-        Uses 1/(1-t)^k = sum_j C(j+k-1, k-1) t^j; a zero denominator power
-        just reads the numerator off directly.
+        Dividing by 1-t takes running sums, so the numerator, padded or cut
+        to upto+1 coefficients, is summed up denom_power times.
         """
         if upto < 0:
             raise ValueError(f"need a degree >= 0, got {upto}")
-        num = self.numerator.coefficients
-        k = self.denom_power
-        if k == 0:
-            return [num[j] if j < len(num) else 0 for j in range(upto + 1)]
-        out = []
-        for j in range(upto + 1):
-            out.append(
-                sum(c * binom(j - a + k - 1, k - 1) for a, c in enumerate(num))
-            )
-        return out
+        coeffs = (list(self.numerator) + [0] * (upto + 1))[: upto + 1]
+        for _ in range(self.denom_power):
+            coeffs = list(itertools.accumulate(coeffs))
+        return coeffs
 
 
-def hilbert_series(fv: FVector) -> RationalSeries:
+def hilbert_series(fv: tuple[int, ...]) -> RationalSeries:
     """H = 1 + sum_i f_i t^(i+1) / (1-t)^(i+1) = h(t) / (1-t)^(d+1), with
     h_k = sum_{i<=k} (-1)^(k-i) C(d+1-i, k-i) f_(i-1) and f_(-1) = 1.
 
     Trailing zeros of f are dropped first, so d is the true dimension and
     h(1) = f_d is nonzero: the fraction is in lowest terms.
     """
-    f = list(fv.f)
-    while f and f[-1] == 0:
+    f = [1, *fv]
+    while f[-1] == 0:  # f[0] = 1 stops it
         f.pop()
-    f = [1] + f
     d = len(f) - 2
     h = [
         sum((-1) ** (k - i) * binom(d + 1 - i, k - i) * f[i] for i in range(k + 1))
         for k in range(d + 2)
     ]
-    return RationalSeries(IntPolynomial.of(h), d + 1)
+    while h[-1] == 0:  # cone points (forest edges) leave h a zero tail
+        h.pop()
+    return RationalSeries(tuple(h), d + 1)
 
 
 def hilbert_function_oracle(g: ChainGraph, upto: int) -> list[int]:
@@ -93,14 +69,14 @@ def hilbert_function_oracle(g: ChainGraph, upto: int) -> list[int]:
     if upto == 0:
         return [1]  # without counting the faces
     trees = oracle.spanning_tree_masks(g.endpoints, g.num_vertices)
-    fv = FVector(tuple(oracle.downset_face_counts(trees)))
+    fv = tuple(oracle.downset_face_counts(trees))
     return _hilbert_function_from_faces(fv, upto)
 
 
-def _hilbert_function_from_faces(fv: FVector, upto: int) -> list[int]:
+def _hilbert_function_from_faces(fv: tuple[int, ...], upto: int) -> list[int]:
     """HF(j) = sum_s f_(s-1) C(j-1, s-1) from face counts for j = 0..upto,
     with HF(0) = 1."""
     return [1] + [
-        sum(fi * binom(j - 1, s) for s, fi in enumerate(fv.f))
+        sum(fi * binom(j - 1, s) for s, fi in enumerate(fv))
         for j in range(1, upto + 1)
     ]

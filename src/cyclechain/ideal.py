@@ -13,8 +13,8 @@ to m | v for every v in P.  Of all these candidates only a kept k can
 divide a grown m | v, and only when v is in k and k - v lies inside m, so
 that one test replaces the all-pairs minimalization of the products.
 
-The decomposition route (predicted minimal covers, intersected as variable
-primes) and the direct facet ideal must produce identical minimal
+The decomposition route (the exhaustive minimal covers, intersected as
+variable primes) and the direct facet ideal must produce identical minimal
 generating systems; the verify module holds them to that.
 
 The quotient certificate machinery checks that a given generator ordering
@@ -71,17 +71,6 @@ class MonomialIdeal:
         return len(self.generators)
 
 
-@dataclass(frozen=True)
-class VariablePrime:
-    """Prime ideal generated by the variables in vars."""
-
-    vars: EdgeSet
-
-    def __post_init__(self):
-        if not self.vars:
-            raise ValueError("a variable prime needs at least one variable")
-
-
 def facet_ideal(c: SimplicialComplex) -> MonomialIdeal:
     """Generators are the facets, read as square-free supports.
 
@@ -134,7 +123,9 @@ def _fold_prime(cur: list[int], prime: int) -> list[int]:
 def intersect_primes(
     primes, ground_size: int, cap: int = 10**6
 ) -> MonomialIdeal:
-    """Intersection of variable primes as a square-free monomial ideal.
+    """Intersection of variable primes, each given by the EdgeSet of its
+    variables, as a square-free monomial ideal; EmptyIdeal for no primes,
+    ValueError for a prime without variables.
 
     Folds one prime P in at a time, keeping the family minimal.  A
     generator k that meets P stays, and every product of it is a multiple
@@ -150,13 +141,15 @@ def intersect_primes(
     primes = list(primes)
     if not primes:
         raise EmptyIdeal("cannot intersect an empty list of primes")
-    cur = [1 << v for v in primes[0].vars]
+    if not all(primes):
+        raise ValueError("a variable prime needs at least one variable")
+    cur = [1 << v for v in primes[0]]
     for p in primes[1:]:
-        if len(cur) * len(p.vars) > cap:
+        if len(cur) * len(p) > cap:
             raise CapacityExceeded(
-                f"prime intersection step would form {len(cur) * len(p.vars)} products"
+                f"prime intersection step would form {len(cur) * len(p)} products"
             )
-        cur = _fold_prime(cur, p.vars.mask)
+        cur = _fold_prime(cur, p.mask)
     cur.sort(key=lambda m: (m.bit_count(), m))
     return MonomialIdeal(
         ground_size, tuple(EdgeSet(m, ground_size) for m in cur)

@@ -1,7 +1,8 @@
 """Spanning simplicial complex of a chain graph and its f-vector.
 
 The facets are the spanning trees, so the faces are exactly the edge sets
-that contain no cycle.  The f-vector is computed three ways:
+that contain no cycle.  An f-vector is a tuple f, where f[i] counts the
+faces of size i+1 (the empty face is left out).  It is computed three ways:
 
   * f_vector_bruteforce: count the faces of the facet downset through the
     face oracle's subset closure over one bitmap.
@@ -67,30 +68,13 @@ class SimplicialComplex:
         return len(self.facets[0]) - 1
 
 
-@dataclass(frozen=True)
-class FVector:
-    """f[i] = number of i-dimensional faces (size i+1); empty face excluded."""
-
-    f: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.f) - 1
-
-    def __getitem__(self, i: int) -> int:
-        return self.f[i]
-
-    def __len__(self) -> int:
-        return len(self.f)
-
-
 def spanning_complex(g: ChainGraph) -> SimplicialComplex:
     """The complex whose facets are the spanning trees of g."""
     return SimplicialComplex(g.n, enumerate_trees_characterized(g).trees)
 
 
-def f_vector_bruteforce(c: SimplicialComplex) -> FVector:
-    return FVector(tuple(oracle.downset_face_counts([f.mask for f in c.facets])))
+def f_vector_bruteforce(c: SimplicialComplex) -> tuple[int, ...]:
+    return tuple(oracle.downset_face_counts([f.mask for f in c.facets]))
 
 
 def _check_subset_cap(g: ChainGraph) -> None:
@@ -101,7 +85,7 @@ def _check_subset_cap(g: ChainGraph) -> None:
         )
 
 
-def _fold_cycle_subsets(g: ChainGraph, start, cycles, step, size) -> FVector:
+def _fold_cycle_subsets(g: ChainGraph, start, cycles, step, size) -> tuple[int, ...]:
     """f_i = sum over cycle subsets S of (-1)^|S| C(n - u, i+1 - u), where
     u = size(key) for the key that stands for S.
 
@@ -121,13 +105,13 @@ def _fold_cycle_subsets(g: ChainGraph, start, cycles, step, size) -> FVector:
     coef: Counter = Counter()
     for key, count in signed.items():
         coef[size(key)] += count
-    return FVector(tuple(
+    return tuple(
         sum(c * binom(g.n - u, i + 1 - u) for u, c in coef.items())
         for i in range(g.num_vertices - 1)
-    ))
+    )
 
 
-def f_vector_exact(g: ChainGraph) -> FVector:
+def f_vector_exact(g: ChainGraph) -> tuple[int, ...]:
     """Inclusion-exclusion with true union sizes, keyed on the union mask.
 
     A size-(i+1) edge set is a face iff it contains no cycle, so
@@ -143,14 +127,14 @@ def f_vector_exact(g: ChainGraph) -> FVector:
 class FVectorComparison:
     """Exact f-vector next to the pairwise-estimate form."""
 
-    exact: FVector
-    pairwise_form: FVector
-    r2_closed_form: FVector | None
+    exact: tuple[int, ...]
+    pairwise_form: tuple[int, ...]
+    r2_closed_form: tuple[int, ...] | None
 
     @property
     def mismatched_indices(self) -> tuple[int, ...]:
         return tuple(
-            i for i, (a, b) in enumerate(zip(self.exact.f, self.pairwise_form.f))
+            i for i, (a, b) in enumerate(zip(self.exact, self.pairwise_form))
             if a != b
         )
 
@@ -168,7 +152,7 @@ def _take_pairwise(key, cycle):
     return (estimate, pending[1:]), (estimate + length - pending[0], taken)
 
 
-def f_vector_pairwise_form(g: ChainGraph) -> FVector:
+def f_vector_pairwise_form(g: ChainGraph) -> tuple[int, ...]:
     """Inclusion-exclusion with union sizes estimated pairwise only:
     |union S| ~ sum |C| - sum over pairs |C_u & C_v|.
 
@@ -187,7 +171,7 @@ def f_vector_pairwise_form(g: ChainGraph) -> FVector:
     )
 
 
-def f_vector_r2_closed_form(g: ChainGraph) -> FVector:
+def f_vector_r2_closed_form(g: ChainGraph) -> tuple[int, ...]:
     """The eight explicit binomial terms available when r = 2.
 
     The three cycles have lengths m1, m2, m1+m2-2 and every union of two or
@@ -208,23 +192,20 @@ def f_vector_r2_closed_form(g: ChainGraph) -> FVector:
     u_1_12 = c1 + c12 - pair_1_12
     u_2_12 = c2 + c12 - pair_2_12
     u_all = c1 + c2 + c12 - pair_12 - pair_1_12 - pair_2_12
-    entries = []
-    for i in range(g.num_vertices - 1):
-        s = i + 1
-        entries.append(
-            binom(n, s)
-            - binom(n - c1, s - c1)
-            - binom(n - c2, s - c2)
-            - binom(n - c12, s - c12)
-            + binom(n - u_12, s - u_12)
-            + binom(n - u_1_12, s - u_1_12)
-            + binom(n - u_2_12, s - u_2_12)
-            - binom(n - u_all, s - u_all)
-        )
-    return FVector(tuple(entries))
+    return tuple(
+        binom(n, s)
+        - binom(n - c1, s - c1)
+        - binom(n - c2, s - c2)
+        - binom(n - c12, s - c12)
+        + binom(n - u_12, s - u_12)
+        + binom(n - u_1_12, s - u_1_12)
+        + binom(n - u_2_12, s - u_2_12)
+        - binom(n - u_all, s - u_all)
+        for s in range(1, g.num_vertices)
+    )
 
 
-def f_vector_paper(g: ChainGraph, exact: FVector) -> FVectorComparison:
+def f_vector_paper(g: ChainGraph, exact: tuple[int, ...]) -> FVectorComparison:
     """Evaluate the pairwise-estimate form and report where it drifts from
     exact, the f-vector f_vector_exact(g) gives."""
     return FVectorComparison(

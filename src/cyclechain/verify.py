@@ -15,17 +15,18 @@ drift and the nine-row intersection predictor drift.  A check whose oracle
 would outgrow its cap is reported as skipped, also without failing the
 instance; mismatches are the only fatal status.
 
-Each oracle runs at most once per instance.  The trees check and the
-face oracle share one brute-force tree enumeration, so the fvector and
-hilbert oracles read only the graph; those two checks share one face
+Each oracle runs at most once per instance, and reads only the graph:
+one brute-force tree enumeration serves the trees check, the face oracle
+and the cover oracle.  The fvector and hilbert checks share one face
 count, and the covers and decomposition checks share one cover search,
 through a per-instance context that keeps each answer (or the
 SearchSpaceTooLarge it raised) for the next check that asks.  The check
 that asks first carries the oracle's time in its elapsed.  A tree
-enumeration over its cap therefore skips fvector and hilbert as well.
-The exact f-vector is kept the same way: the fvector and hilbert checks
-and the fvector_paper note read one computation, and over the cycle
-subset limit all three are skipped.
+enumeration over its cap therefore skips all four of them as well.  The
+facet ideal (the listed trees) and the exact f-vector are kept the same
+way, built only when a selected check reads them; over the cycle subset
+limit the fvector and hilbert checks and the fvector_paper note, which
+share the exact f-vector, are all skipped.
 
 Every detail payload is plain JSON data so reports can cross process
 boundaries and be emitted verbatim.
@@ -108,20 +109,19 @@ def _set_diff_detail(g, left_name, left, right_name, right):
 
 
 class _Context:
-    """One instance's graph and caps, its spanning complex and facet ideal,
-    and the answers its checks share: the exact f-vector and the oracles'.
+    """One instance's graph and caps, and the answers its checks share: the
+    facet ideal, the exact f-vector and the oracles'.
 
     Each shared answer is computed on first use and kept, a raised
     SearchSpaceTooLarge included, so a second check reports the same
-    answer or the same skip without running the oracle again.
+    answer or the same skip without running the oracle again, and a check
+    that is not selected builds nothing it alone reads.
     """
 
     def __init__(self, g: ChainGraph, tree_cap: int, face_cap: int):
         self.g = g
         self.tree_cap = tree_cap
         self.face_cap = face_cap
-        self.complex = simplicial.spanning_complex(g)
-        self.ideal = ideal.facet_ideal(self.complex)
         self._answers = {}
 
     def _once(self, key, compute):
@@ -135,7 +135,14 @@ class _Context:
             raise error
         return value
 
-    def exact_fvector(self) -> simplicial.FVector:
+    def facet_ideal(self) -> ideal.MonomialIdeal:
+        """The facet ideal of the production complex: its generators are
+        the listed trees."""
+        return self._once(
+            "ideal", lambda: ideal.facet_ideal(simplicial.spanning_complex(self.g))
+        )
+
+    def exact_fvector(self) -> tuple[int, ...]:
         """The f-vector by inclusion-exclusion over the cycle subsets."""
         return self._once("exact", lambda: simplicial.f_vector_exact(self.g))
 
@@ -148,27 +155,31 @@ class _Context:
             ),
         )
 
-    def face_fvector(self) -> simplicial.FVector:
+    def face_fvector(self) -> tuple[int, ...]:
         """The f-vector of the brute-force trees' downset, from the face
         oracle."""
         return self._once(
             "faces",
-            lambda: simplicial.FVector(
-                tuple(oracle.downset_face_counts(self.oracle_trees(), self.face_cap))
+            lambda: tuple(
+                oracle.downset_face_counts(self.oracle_trees(), self.face_cap)
             ),
         )
 
     def oracle_covers(self) -> list[EdgeSet]:
-        """The minimal vertex covers by exhaustive transversal search."""
+        """The minimal vertex covers of the brute-force trees, by exhaustive
+        transversal search."""
         return self._once(
             "covers",
-            lambda: ideal.minimal_vertex_covers_oracle(self.complex),
+            lambda: [
+                self.g.edge_set(m)
+                for m in oracle.minimal_hitting_sets(self.oracle_trees())
+            ],
         )
 
 
 def _check_trees(g, ctx):
-    mine = {f.mask for f in ctx.complex.facets}
-    ref = set(ctx.oracle_trees())
+    ref = set(ctx.oracle_trees())  # over its cap, skip before listing
+    mine = {f.mask for f in ctx.facet_ideal().generators}
     if mine == ref:
         return "match", None
     return "mismatch", _set_diff_detail(g, "characterized", mine, "oracle", ref)
@@ -185,12 +196,14 @@ def _check_count(g, ctx):
 def _check_fvector(g, ctx):
     mine = ctx.exact_fvector()
     ref = ctx.face_fvector()
-    if mine.f == ref.f:
+    if mine == ref:
         return "match", None
-    bad = next(i for i, (a, b) in enumerate(zip(mine.f, ref.f)) if a != b)
+    # past the shorter vector's end, its fill value None differs
+    pairs = itertools.zip_longest(mine, ref)
+    bad = next(i for i, (a, b) in enumerate(pairs) if a != b)
     return "mismatch", {
-        "exact": list(mine.f),
-        "bruteforce": list(ref.f),
+        "exact": list(mine),
+        "bruteforce": list(ref),
         "witness_index": bad,
     }
 
@@ -214,25 +227,24 @@ def _check_covers(g, ctx):
 
 
 def _check_decomposition(g, ctx):
-    met = ideal.intersect_primes(
-        (ideal.VariablePrime(s) for s in ctx.oracle_covers()), g.n
-    )
+    met = ideal.intersect_primes(ctx.oracle_covers(), g.n)
     mine = {s.mask for s in met.generators}
-    ref = {s.mask for s in ctx.ideal.generators}
+    ref = {s.mask for s in ctx.facet_ideal().generators}
     if mine == ref:
         return "match", None
     return "mismatch", _set_diff_detail(g, "intersection", mine, "facet_ideal", ref)
 
 
 def _check_cm(g, ctx):
-    verdict = ideal.cohen_macaulay_verdict(g, ctx.ideal)
+    fi = ctx.facet_ideal()
+    verdict = ideal.cohen_macaulay_verdict(g, fi)
     if not verdict.certified:
         return "mismatch", {
             "verdict": verdict.detail,
             "step": verdict.failed_step,
             "mindeg": verdict.failed_mindeg,
         }
-    if not ideal.replay_certificate(ctx.ideal, verdict.certificate):
+    if not ideal.replay_certificate(fi, verdict.certificate):
         return "mismatch", {"verdict": "certificate does not replay"}
     return "match", {"steps": len(verdict.certificate.ordering)}
 
@@ -242,8 +254,8 @@ def _note_fvector_paper(g, ctx):
     if cmp.agree:
         return "match", None
     return "mismatch", {
-        "exact": list(cmp.exact.f),
-        "pairwise_form": list(cmp.pairwise_form.f),
+        "exact": list(cmp.exact),
+        "pairwise_form": list(cmp.pairwise_form),
         "mismatched_indices": list(cmp.mismatched_indices),
     }
 

@@ -390,6 +390,22 @@ def test_verify_skips_the_face_checks_within_1_gib():
     ]
 
 
+@pytest.mark.parametrize(
+    "checks", ["count", "count,trees,fvector,hilbert,covers,decomposition"]
+)
+def test_verify_lists_no_trees_it_need_not_within_1_gib(checks):
+    # listing the 7,997,214 spanning trees of (9, [6]^9) outgrows 1 GiB;
+    # count needs no listing, and the tree search skips the others first
+    proc = _run_in_1_gib(
+        "verify", "--r", "9", "--m", ",".join(["6"] * 9), "--checks", checks
+    )
+    assert proc.returncode == 0, proc.stderr
+    statuses = [(c["name"], c["status"]) for c in json.loads(proc.stdout)["checks"]]
+    assert statuses == [("count", "match")] + [
+        (name, "skipped") for name in checks.split(",")[1:]
+    ]
+
+
 def test_pretty_output(capsys):
     code, out, _ = run(capsys, "trees", *FIG1, "--count-only", "--pretty")
     assert code == 0

@@ -36,6 +36,12 @@ GOLDEN = [
      "4508f06ba629d13f7eea673a25fe381346bb06f15a92abb685575738f3a1433f"),
     ("hilbert --r 3 --m 4,5,6 --t 2 --expand 50", 0,
      "4328dfa6dc952e9cff1b5cdf76cf0e20ca174d1618e23e6b2cad7d75566ff3e1"),
+    ("hilbert --r 1 --m 64 --expand 10000", 0,
+     "915c44696dad6fb169c9a0ac04a53341dad3d370438c780b2e5504555c60d611"),
+    ("fvector --r 3 --m 4,5,3 --t 2", 0,
+     "e6952d43c43c1e97f48b7c76c676b51eb49be9c8ee574417cd5d2f6c5f2311ef"),
+    ("fvector --method brute --r 2 --m 3,4 --t 4", 0,
+     "8caafba9924cbe8d2ec34fb8924b524fb5b1cfa909dda4cf045c87e098a88e6f"),
     ("verify --family 2,4,1", 5,
      "f08a1e215b0d9aa85f03a3edcca645f5fbf4be6814381da5ca3e86ff3fa16aaa"),
     ("verify --r 3 --m 4,4,4 --face-cap 100", 5,

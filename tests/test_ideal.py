@@ -9,7 +9,6 @@ from cyclechain import (
     EmptyIdeal,
     MonomialIdeal,
     QuotientCertificate,
-    VariablePrime,
     build_chain_graph,
     cohen_macaulay_verdict,
     colon_mindeg,
@@ -31,7 +30,7 @@ def _ideal(ground, *supports):
 
 
 def _prime(ground, *vars_):
-    return VariablePrime(EdgeSet.of(vars_, ground))
+    return EdgeSet.of(vars_, ground)
 
 
 def _labels(g, s):
@@ -51,8 +50,8 @@ def test_membership():
 
 
 def test_variable_prime_must_be_nonempty():
-    with pytest.raises(ValueError):
-        VariablePrime(EdgeSet.empty(3))
+    with pytest.raises(ValueError, match="at least one variable"):
+        intersect_primes([_prime(3, 0), EdgeSet.empty(3)], 3)
 
 
 def test_facet_ideal(triangle):
@@ -83,15 +82,15 @@ def _reference_intersection(primes, cap, formed=None):
                 keep.append(m)
         return keep
 
-    cur = [1 << v for v in primes[0].vars]
+    cur = [1 << v for v in primes[0]]
     for p in primes[1:]:
         if formed is not None:
-            formed.append(len(cur) * len(p.vars))
-        if len(cur) * len(p.vars) > cap:
+            formed.append(len(cur) * len(p))
+        if len(cur) * len(p) > cap:
             raise CapacityExceeded(
-                f"prime intersection step would form {len(cur) * len(p.vars)} products"
+                f"prime intersection step would form {len(cur) * len(p)} products"
             )
-        cur = minimalize(m | 1 << v for m in cur for v in p.vars)
+        cur = minimalize(m | 1 << v for m in cur for v in p)
     return cur
 
 
@@ -112,16 +111,13 @@ def _assert_folds_agree(primes, ground, caps):
             want = _reference_intersection(primes, cap)
         except CapacityExceeded as e:
             want = str(e)
-        assert got == want, (cap, [p.vars.mask for p in primes])
+        assert got == want, (cap, [p.mask for p in primes])
 
 
 def test_prime_fold_matches_the_minimalizing_fold_on_the_family():
     for r, m, t in family_instances(3, 4, 2):
         g = build_chain_graph(r, m, t)
-        primes = [
-            VariablePrime(s)
-            for s in minimal_vertex_covers_oracle(spanning_complex(g))
-        ]
+        primes = minimal_vertex_covers_oracle(spanning_complex(g))
         peak = max(_step_products(primes), default=1)
         _assert_folds_agree(primes, g.n, (10**6, peak, peak - 1))
 
@@ -142,7 +138,7 @@ def prime_lists(draw):
             other = draw(st.integers(0, full))
             mask = {"copy": base, "sub": base & other or base, "super": base | other}[kind]
         masks.append(mask)
-    return ground, [VariablePrime(EdgeSet(m, ground)) for m in masks]
+    return ground, [EdgeSet(m, ground) for m in masks]
 
 
 @given(prime_lists())
@@ -219,14 +215,13 @@ def test_predicted_covers_are_a_subset(small_instances):
 def test_true_covers_recover_the_facet_ideal(fig1, triangle):
     for g in (triangle, fig1):
         c = spanning_complex(g)
-        primes = [VariablePrime(s) for s in minimal_vertex_covers_oracle(c)]
-        assert intersect_primes(primes, g.n) == facet_ideal(c)
+        covers = minimal_vertex_covers_oracle(c)
+        assert intersect_primes(covers, g.n) == facet_ideal(c)
 
 
 def test_predicted_covers_do_not(fig1):
     c = spanning_complex(fig1)
-    primes = [VariablePrime(s) for s in covers_lemma41(fig1)]
-    wrong = intersect_primes(primes, fig1.n)
+    wrong = intersect_primes(covers_lemma41(fig1), fig1.n)
     assert wrong != facet_ideal(c)
     assert len(wrong) == 6
     assert {len(s) for s in wrong.generators} == {7}

@@ -187,18 +187,22 @@ def test_count_check_tests_the_shipped_count(monkeypatch, fig1):
     assert count.detail == {"characterized": 12, "determinant": 11}
 
 
-def test_face_oracles_read_only_the_graph(monkeypatch, fig1):
-    # a production listing that loses a tree fails the trees check, but
-    # the face oracle and the Hilbert oracle close the downset of the
-    # brute-force trees, so fvector and hilbert still hold
+def _drop_the_first_listed_tree(monkeypatch):
     real = simplicial.enumerate_trees_characterized
-    expected = hilbert_function_oracle(fig1, 10)
 
     def drop_one(g):
         sts = real(g)
         return spanning.SpanningTreeSet(sts.trees[1:], sts.by_class, sts.removals[1:])
 
     monkeypatch.setattr(simplicial, "enumerate_trees_characterized", drop_one)
+
+
+def test_face_oracles_read_only_the_graph(monkeypatch, fig1):
+    # a production listing that loses a tree fails the trees check, but
+    # the face oracle and the Hilbert oracle close the downset of the
+    # brute-force trees, so fvector and hilbert still hold
+    expected = hilbert_function_oracle(fig1, 10)
+    _drop_the_first_listed_tree(monkeypatch)
     statuses = _statuses(verify_instance(fig1, checks=("trees", "fvector", "hilbert")))
     assert statuses == {"trees": "mismatch", "fvector": "match", "hilbert": "match"}
     assert hilbert_function_oracle(fig1, 10) == expected
@@ -211,6 +215,46 @@ def test_tree_cap_skips_the_face_checks_too(fig1):
         "45 deletion candidates exceed the cap of 5"
     }
     assert report.ok
+
+
+def test_cover_oracle_reads_only_the_graph(monkeypatch, triangle):
+    # the covers of the brute-force trees still meet in the true facet
+    # ideal, which the listing that lost a tree no longer gives
+    _drop_the_first_listed_tree(monkeypatch)
+    report = verify_instance(triangle, checks=("trees", "covers", "decomposition"))
+    assert _statuses(report) == {
+        "trees": "mismatch", "covers": "match", "decomposition": "mismatch",
+    }
+    decomposition = report.checks[2].detail
+    assert (decomposition["intersection"], decomposition["facet_ideal"]) == (3, 2)
+
+
+def test_tree_cap_skips_the_cover_checks_too(fig1):
+    report = verify_instance(fig1, checks=("covers", "decomposition"), tree_cap=5)
+    assert [(c.status, c.detail) for c in report.checks] == [
+        ("skipped", "45 deletion candidates exceed the cap of 5")
+    ] * 2
+    assert report.ok
+
+
+def test_fvectors_of_different_lengths_mismatch_at_the_shorter_end(monkeypatch, fig1):
+    real = oracle.downset_face_counts
+    monkeypatch.setattr(oracle, "downset_face_counts", lambda *a: real(*a)[:-1])
+    (fvector,) = verify_instance(fig1, checks=("fvector",)).checks
+    assert fvector.status == "mismatch"
+    assert fvector.detail == {
+        "exact": [10, 45, 119, 202, 224, 157, 63, 11],
+        "bruteforce": [10, 45, 119, 202, 224, 157, 63],
+        "witness_index": 7,
+    }
+
+
+def test_count_alone_builds_neither_the_listing_nor_the_facet_ideal(monkeypatch, fig1):
+    built = _count_calls(monkeypatch, "enumerate_trees_characterized", module=simplicial)
+    ideals = _count_calls(monkeypatch, "facet_ideal", module=ideal)
+    assert _statuses(verify_instance(fig1, checks=("count",))) == {"count": "match"}
+    assert built == {"enumerate_trees_characterized": 0}
+    assert ideals == {"facet_ideal": 0}
 
 
 def test_each_stage_runs_once_per_instance(monkeypatch, fig1):
