@@ -11,9 +11,6 @@ that cross-checks them.
 from .chain_graph import (
     ChainGraph,
     CompositeCycle,
-    CycleEdge,
-    EdgeLabel,
-    ForestEdge,
     all_cycles,
     build_chain_graph,
     composite_cycle,
@@ -63,12 +60,10 @@ from .simplicial import (
     spanning_complex,
 )
 from .spanning import (
-    SpanningTreeSet,
-    TreeRemoval,
     count_trees_characterized,
     count_trees_kirchhoff,
     enumerate_trees_characterized,
-    enumerate_trees_oracle,
+    removal_class,
 )
 from .util import binom
 from .verify import (

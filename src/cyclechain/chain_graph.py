@@ -14,7 +14,8 @@ Edges are labeled
 where cycle j >= 2 consists of its own labels plus the shared edge
 e_{j-1,1}, and e_{j,1} is the edge shared with cycle j+1 whenever j < r.
 Ground-set indices follow this label order, which makes every ordering in
-the package reproducible.
+the package reproducible.  A label is the string itself: g.labels[i] is
+the label of edge i, exactly as the CLI prints it.
 
 Besides construction, this module enumerates the composite cycles
 C_{i,...,i+k} (symmetric differences of runs of consecutive simple cycles),
@@ -29,30 +30,6 @@ from functools import cached_property
 
 from .edgeset import MAX_GROUND, EdgeSet
 from .errors import BadAttachment, CapacityExceeded, IndexOutOfRange, InvalidLength
-
-
-@dataclass(frozen=True)
-class CycleEdge:
-    """Label e_{j,i}: position i inside cycle j."""
-
-    cycle: int
-    position: int
-
-    def __str__(self) -> str:
-        return f"e_{{{self.cycle},{self.position}}}"
-
-
-@dataclass(frozen=True)
-class ForestEdge:
-    """Label e_k for the k-th forest edge."""
-
-    index: int
-
-    def __str__(self) -> str:
-        return f"e_{self.index}"
-
-
-EdgeLabel = CycleEdge | ForestEdge
 
 
 class ChainGraph:
@@ -70,7 +47,7 @@ class ChainGraph:
         r: int,
         m: tuple[int, ...],
         endpoints: tuple[tuple[int, int], ...],
-        labels: tuple[EdgeLabel, ...],
+        labels: tuple[str, ...],
         forest_attachments: tuple[int, ...],
     ):
         self.r = r
@@ -96,21 +73,6 @@ class ChainGraph:
 
     def __repr__(self) -> str:
         return f"ChainGraph(r={self.r}, m={list(self.m)}, t={self.t})"
-
-    @cached_property
-    def label_index(self) -> dict[EdgeLabel, int]:
-        return {lab: i for i, lab in enumerate(self.labels)}
-
-    def index_of(self, label: EdgeLabel) -> int:
-        try:
-            return self.label_index[label]
-        except KeyError:
-            raise IndexOutOfRange(f"no edge labeled {label}") from None
-
-    def label_of(self, index: int) -> EdgeLabel:
-        if not 0 <= index < self.n:
-            raise IndexOutOfRange(f"edge index {index} outside 0..{self.n - 1}")
-        return self.labels[index]
 
     @cached_property
     def cycle_offsets(self) -> tuple[int, ...]:
@@ -211,12 +173,12 @@ def build_chain_graph(r: int, m, forest=0) -> ChainGraph:
         raise CapacityExceeded(f"graph needs {n} edges, capacity is {MAX_GROUND}")
 
     endpoints: list[tuple[int, int]] = []
-    labels: list[EdgeLabel] = []
+    labels: list[str] = []
 
     # Cycle 1 is the ring 0,1,..,m1-1 with e_{1,p} = (p-1, p mod m1).
     for p in range(1, m[0] + 1):
         endpoints.append((p - 1, p % m[0]))
-        labels.append(CycleEdge(1, p))
+        labels.append(f"e_{{1,{p}}}")
     next_vertex = m[0]
 
     # Each later cycle is a fresh path closing up the previous shared edge
@@ -232,7 +194,7 @@ def build_chain_graph(r: int, m, forest=0) -> ChainGraph:
             else:
                 nxt = ca
             endpoints.append((prev, nxt))
-            labels.append(CycleEdge(j, p))
+            labels.append(f"e_{{{j},{p}}}")
             if p == 1:
                 first_new = nxt
             prev = nxt
@@ -243,7 +205,7 @@ def build_chain_graph(r: int, m, forest=0) -> ChainGraph:
         anchor = 0
         for k in range(1, t + 1):
             endpoints.append((anchor, next_vertex))
-            labels.append(ForestEdge(k))
+            labels.append(f"e_{k}")
             attachments.append(anchor)
             anchor = next_vertex
             next_vertex += 1
@@ -255,7 +217,7 @@ def build_chain_graph(r: int, m, forest=0) -> ChainGraph:
                     f"but only vertices 0..{next_vertex - 1} exist"
                 )
             endpoints.append((a, next_vertex))
-            labels.append(ForestEdge(k))
+            labels.append(f"e_{k}")
             attachments.append(a)
             next_vertex += 1
 

@@ -112,7 +112,7 @@ def _emit(obj, pretty_lines=None, pretty=False) -> None:
 def cmd_gen(args) -> int:
     g = _load_graph(args)
     edges = [
-        {"index": i, "label": str(g.labels[i]), "endpoints": list(g.endpoints[i])}
+        {"index": i, "label": g.labels[i], "endpoints": list(g.endpoints[i])}
         for i in range(g.n)
     ]
     obj = {
@@ -161,22 +161,25 @@ def cmd_trees(args) -> int:
         count = spanning.count_trees_characterized(g)
         _emit({"count": count}, [f"{count} spanning trees"], args.pretty)
         return EXIT_OK
-    sts = spanning.enumerate_trees_characterized(g)
-    obj = {"count": len(sts), "trees": [labels_of(g, s) for s in sts.trees]}
-    lines = [f"{len(sts)} spanning trees"]
+    trees = spanning.enumerate_trees_characterized(g)
+    obj = {"count": len(trees), "trees": [labels_of(g, s) for s in trees]}
+    lines = [f"{len(trees)} spanning trees"]
     if args.by_class:
-        obj["by_class"] = dict(sts.by_class)
+        tags = [spanning.removal_class(g, s) for s in trees]
+        obj["by_class"] = {
+            tag: tags.count(tag) for tag in spanning.CLASS_TAGS if tag in tags
+        }
         obj["removals"] = [
-            {"class": rm.class_tag, "removed": labels_of(g, rm.removed)}
-            for rm in sts.removals
+            {"class": tag, "removed": labels_of(g, s.complement())}
+            for s, tag in zip(trees, tags)
         ]
-        lines += [f"  {tag}: {cnt}" for tag, cnt in sts.by_class.items()]
+        lines += [f"  {tag}: {cnt}" for tag, cnt in obj["by_class"].items()]
     lines += [
         "  keep {" + " ".join(tr) + "}"
         + (f"  drop {{{' '.join(rm['removed'])}}} [{rm['class']}]" if args.by_class else "")
         for tr, rm in zip(
             obj["trees"],
-            obj.get("removals", [{}] * len(sts)),
+            obj.get("removals", [{}] * len(trees)),
         )
     ]
     _emit(obj, lines, args.pretty)
@@ -246,7 +249,8 @@ def cmd_covers(args) -> int:
 def cmd_decompose(args) -> int:
     # The predicted cover ranges are provably incomplete for r >= 2 (see
     # verify's covers check), so the decomposition uses the exhaustive
-    # minimal covers; the equality below is then a self-check.
+    # minimal covers of the listed trees; by blocker duality the equality
+    # below then holds whatever the listing is.
     g = _load_graph(args)
     c = simplicial.spanning_complex(g)
     covers = ideal.minimal_vertex_covers_oracle(c)
@@ -276,7 +280,7 @@ def cmd_certify(args) -> int:
         "steps": len(cert.ordering),
         "ordering": [labels_of(g, full ^ fi.generators[i]) for i in cert.ordering],
         "ordering_indices": list(cert.ordering),
-        "witnesses": [str(g.label_of(v)) for v in cert.witnesses],
+        "witnesses": [g.labels[v] for v in cert.witnesses],
         "replayed": replayed,
     }
     lines = [f"{obj['steps']}-step certificate (replayed: {replayed})"]

@@ -70,7 +70,7 @@ class SimplicialComplex:
 
 def spanning_complex(g: ChainGraph) -> SimplicialComplex:
     """The complex whose facets are the spanning trees of g."""
-    return SimplicialComplex(g.n, enumerate_trees_characterized(g).trees)
+    return SimplicialComplex(g.n, enumerate_trees_characterized(g))
 
 
 def f_vector_bruteforce(c: SimplicialComplex) -> tuple[int, ...]:

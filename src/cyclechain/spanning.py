@@ -32,44 +32,18 @@ The class is keyed on the set of removed shared edges decomposed into
 maximal consecutive runs; each run merges its cycles into one block, and
 every untouched cycle is a block of its own.
 
-Distinct removal sets leave distinct trees; the test suite holds the
-listing to set equality with the brute-force enumeration and to the
-determinant count.
+The listing is the trees themselves, a tuple of EdgeSets; a tree's
+removal set is its complement, and removal_class(g, tree) reads its class
+off the shared edges the tree leaves out.  Distinct removal sets leave
+distinct trees; the test suite holds the listing to set equality with
+the brute-force enumeration and to the determinant count.
 """
-
-from collections import Counter
-from dataclasses import dataclass
 
 from . import oracle
 from .chain_graph import ChainGraph
 from .edgeset import EdgeSet
 
 CLASS_TAGS = ("C1", "C2", "C3a", "C3b", "C3c")
-
-
-@dataclass(frozen=True)
-class TreeRemoval:
-    removed: EdgeSet
-    class_tag: str
-
-
-@dataclass(frozen=True)
-class SpanningTreeSet:
-    """Trees in ascending bitmask order.
-
-    by_class and removals are populated by the characterized route only;
-    the oracle route leaves them empty.
-    """
-
-    trees: tuple[EdgeSet, ...]
-    by_class: dict[str, int]
-    removals: tuple[TreeRemoval, ...] | None = None
-
-    def __len__(self) -> int:
-        return len(self.trees)
-
-    def tree_masks(self) -> set[int]:
-        return {s.mask for s in self.trees}
 
 
 def _consecutive_runs(values: list[int]) -> list[tuple[int, int]]:
@@ -94,16 +68,18 @@ def _classify(num_removed_commons: int, runs: list[tuple[int, int]]) -> str:
     return "C3c"
 
 
-def _class_of(g: ChainGraph, pattern: int) -> str:
-    """The class of the removals whose removed shared edges are pattern."""
+def removal_class(g: ChainGraph, tree: EdgeSet) -> str:
+    """The class tag of the tree's removal set, read off the shared edges
+    the tree leaves out."""
     removed_js = [
-        j for j, i in enumerate(g.common_edge_indices, start=1) if pattern >> i & 1
+        j for j, i in enumerate(g.common_edge_indices, start=1) if i not in tree
     ]
     return _classify(len(removed_js), _consecutive_runs(removed_js))
 
 
-def enumerate_trees_characterized(g: ChainGraph) -> SpanningTreeSet:
-    """All spanning trees, from the walk over the cycles."""
+def enumerate_trees_characterized(g: ChainGraph) -> tuple[EdgeSet, ...]:
+    """All spanning trees in ascending bitmask order, from the walk over
+    the cycles."""
     unpicked, picked = [0], []
     for j, own in enumerate(g.own_masks):
         if j:
@@ -116,14 +92,8 @@ def enumerate_trees_characterized(g: ChainGraph) -> SpanningTreeSet:
         picked += [m | e for m in unpicked for e in own_edges]
 
     picked.sort(reverse=True)  # ascending kept edges
-    full, shared = g.full_mask, g.shared_mask
-    tags = {p: _class_of(g, p) for p in {m & shared for m in picked}}
-    trees = tuple(g.edge_set(full ^ m) for m in picked)
-    removals = tuple(TreeRemoval(g.edge_set(m), tags[m & shared]) for m in picked)
-    by_class = Counter(rm.class_tag for rm in removals)
-    return SpanningTreeSet(
-        trees, {tag: by_class[tag] for tag in CLASS_TAGS if by_class[tag]}, removals
-    )
+    full = g.full_mask
+    return tuple(g.edge_set(full ^ m) for m in picked)
 
 
 def count_trees_characterized(g: ChainGraph) -> int:
@@ -134,12 +104,6 @@ def count_trees_characterized(g: ChainGraph) -> int:
         d += own.bit_count() * e
         e += d
     return d
-
-
-def enumerate_trees_oracle(g: ChainGraph) -> SpanningTreeSet:
-    """Brute-force route; shares no logic with the characterization."""
-    masks = oracle.spanning_tree_masks(g.endpoints, g.num_vertices)
-    return SpanningTreeSet(tuple(g.edge_set(m) for m in masks), {})
 
 
 def count_trees_kirchhoff(g: ChainGraph) -> int:

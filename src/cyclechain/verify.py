@@ -24,9 +24,11 @@ SearchSpaceTooLarge it raised) for the next check that asks.  The check
 that asks first carries the oracle's time in its elapsed.  A tree
 enumeration over its cap therefore skips all four of them as well.  The
 facet ideal (the listed trees) and the exact f-vector are kept the same
-way, built only when a selected check reads them; over the cycle subset
-limit the fvector and hilbert checks and the fvector_paper note, which
-share the exact f-vector, are all skipped.
+way, built only when a selected check reads them.  More trees than the
+tree cap skip the three checks that read the facet ideal (trees,
+decomposition and cm), counted before any tree is listed; over the cycle
+subset limit the fvector and hilbert checks and the fvector_paper note,
+which share the exact f-vector, are all skipped.
 
 Every detail payload is plain JSON data so reports can cross process
 boundaries and be emitted verbatim.
@@ -91,7 +93,7 @@ class OracleReport:
 
 
 def labels_of(g: ChainGraph, s: EdgeSet) -> list[str]:
-    return [str(g.label_of(i)) for i in s]
+    return [g.labels[i] for i in s]
 
 
 def _set_diff_detail(g, left_name, left, right_name, right):
@@ -137,10 +139,18 @@ class _Context:
 
     def facet_ideal(self) -> ideal.MonomialIdeal:
         """The facet ideal of the production complex: its generators are
-        the listed trees."""
-        return self._once(
-            "ideal", lambda: ideal.facet_ideal(simplicial.spanning_complex(self.g))
-        )
+        the listed trees.  The trees are counted first, in O(r), and none
+        is listed when they number more than the tree cap."""
+
+        def build():
+            count = spanning.count_trees_characterized(self.g)
+            if count > self.tree_cap:
+                raise SearchSpaceTooLarge(
+                    f"{count} spanning trees exceed the cap of {self.tree_cap}"
+                )
+            return ideal.facet_ideal(simplicial.spanning_complex(self.g))
+
+        return self._once("ideal", build)
 
     def exact_fvector(self) -> tuple[int, ...]:
         """The f-vector by inclusion-exclusion over the cycle subsets."""

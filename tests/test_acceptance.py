@@ -9,6 +9,7 @@ cover the same laws with shrinking on top.
 import math
 import random
 import time
+from collections import Counter
 
 from cyclechain import (
     all_cycles,
@@ -18,7 +19,6 @@ from cyclechain import (
     count_trees_kirchhoff,
     covers_lemma41,
     enumerate_trees_characterized,
-    enumerate_trees_oracle,
     f_vector_bruteforce,
     f_vector_exact,
     f_vector_paper,
@@ -30,13 +30,14 @@ from cyclechain import (
     minimal_vertex_covers_oracle,
     paper_ordering,
     quasi_linear_certificate,
+    removal_class,
     replay_certificate,
     spanning_complex,
     verify_instance,
 )
 from cyclechain.edgeset import EdgeSet
 from cyclechain.ideal import MonomialIdeal
-from cyclechain.oracle import bareiss_determinant
+from cyclechain.oracle import bareiss_determinant, spanning_tree_masks
 from cyclechain.util import binom
 from cyclechain.verify import family_instances
 
@@ -51,6 +52,10 @@ SMALL = [
 ]
 
 
+def _oracle_masks(g):
+    return set(spanning_tree_masks(g.endpoints, g.num_vertices))
+
+
 def test_criterion_1_example_instance_battery(fig1):
     started = time.perf_counter()
 
@@ -60,10 +65,10 @@ def test_criterion_1_example_instance_battery(fig1):
     assert sorted(len(c.edges) for c in cycles) == [3, 4, 5]
     assert spanning_complex(fig1).dim == 7
 
-    sts = enumerate_trees_characterized(fig1)
-    assert len(sts) == 11
-    assert sts.by_class == {"C1": 6, "C2": 5}
-    assert sts.tree_masks() == enumerate_trees_oracle(fig1).tree_masks()
+    trees = enumerate_trees_characterized(fig1)
+    assert len(trees) == 11
+    assert Counter(removal_class(fig1, tree) for tree in trees) == {"C1": 6, "C2": 5}
+    assert {tree.mask for tree in trees} == _oracle_masks(fig1)
     assert count_trees_kirchhoff(fig1) == 11
 
     fv = f_vector_exact(fig1)
@@ -91,12 +96,11 @@ def test_criterion_2_tree_enumeration_matches_oracle_family_wide():
     assert len(FAMILY) == 480
     for r, m, t in FAMILY:
         g = build_chain_graph(r, m, t)
-        sts = enumerate_trees_characterized(g)
-        assert sts.tree_masks() == enumerate_trees_oracle(g).tree_masks(), (r, m, t)
-        assert len(sts) == count_trees_kirchhoff(g), (r, m, t)
-        assert sum(sts.by_class.values()) == len(sts)
-        for rm in sts.removals:
-            assert len(rm.removed) == r
+        trees = enumerate_trees_characterized(g)
+        assert {tree.mask for tree in trees} == _oracle_masks(g), (r, m, t)
+        assert len(trees) == count_trees_kirchhoff(g), (r, m, t)
+        for tree in trees:
+            assert len(tree) == g.n - r
     assert time.perf_counter() - started < 120.0
 
 
@@ -152,7 +156,7 @@ def test_criterion_6_quotient_certificates_family_wide(fig1):
 
     ideal = facet_ideal(spanning_complex(fig1))
     cert = quasi_linear_certificate(ideal, paper_ordering(fig1, ideal))
-    assert [str(fig1.label_of(v)) for v in cert.witnesses] == [
+    assert [fig1.labels[v] for v in cert.witnesses] == [
         "e_{1,2}", "e_{1,3}", "e_{2,2}", "e_{2,3}", "e_{1,2}",
         "e_{1,2}", "e_{1,2}", "e_{1,3}", "e_{1,3}", "e_{1,3}",
     ]

@@ -3,8 +3,6 @@ import pytest
 from cyclechain import (
     BadAttachment,
     CapacityExceeded,
-    CycleEdge,
-    ForestEdge,
     IndexOutOfRange,
     InvalidLength,
     all_cycles,
@@ -21,11 +19,11 @@ def test_example_instance_shape(fig1):
     assert fig1.n == 10
     assert fig1.t == 4
     assert fig1.num_vertices == 9
-    assert [str(l) for l in fig1.labels] == [
+    assert fig1.labels == (
         "e_{1,1}", "e_{1,2}", "e_{1,3}",
         "e_{2,1}", "e_{2,2}", "e_{2,3}",
         "e_1", "e_2", "e_3", "e_4",
-    ]
+    )
     assert fig1.endpoints == (
         (0, 1), (1, 2), (2, 0),
         (1, 3), (3, 4), (4, 0),
@@ -34,17 +32,6 @@ def test_example_instance_shape(fig1):
     assert fig1.common_edge_indices == (0,)
     assert fig1.cycle_offsets == (0, 3)
     assert fig1.forest_attachments == (0, 5, 6, 7)
-
-
-def test_label_lookup(fig1):
-    assert str(CycleEdge(1, 2)) == "e_{1,2}"
-    assert str(ForestEdge(3)) == "e_3"
-    assert fig1.index_of(CycleEdge(2, 1)) == 3
-    assert fig1.label_of(6) == ForestEdge(1)
-    with pytest.raises(IndexOutOfRange):
-        fig1.index_of(CycleEdge(3, 1))
-    with pytest.raises(IndexOutOfRange):
-        fig1.label_of(10)
 
 
 def test_shared_edge_is_first_of_next_cycle(chain3):

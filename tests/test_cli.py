@@ -406,6 +406,19 @@ def test_verify_lists_no_trees_it_need_not_within_1_gib(checks):
     ]
 
 
+def test_verify_skips_cm_over_the_tree_cap_within_1_gib():
+    # every check at the default caps; cm counts the trees before it lists
+    # any of them
+    proc = _run_in_1_gib("verify", "--r", "9", "--m", ",".join(["6"] * 9))
+    assert proc.returncode == 0, proc.stderr
+    (cm,) = [c for c in json.loads(proc.stdout)["checks"] if c["name"] == "cm"]
+    assert cm == {
+        "name": "cm",
+        "status": "skipped",
+        "detail": "7997214 spanning trees exceed the cap of 1000000",
+    }
+
+
 def test_pretty_output(capsys):
     code, out, _ = run(capsys, "trees", *FIG1, "--count-only", "--pretty")
     assert code == 0

@@ -48,6 +48,13 @@ GOLDEN = [
      "dd77a4493d3bb9a1894de32be37baa2641334b0477a0b42b7a6e9c2975c3d2d3"),
     ("verify --r 6 --m 5,5,5,5,5,5 --checks fvector", 0,
      "96bbc4f341b618de2394406a5fee33ed0143d3c58f1533c9c677bc9786308c07"),
+    ("gen --r 2 --m 3,4 --t 4", 0,
+     "292543b7e8788e4a456fec2e2fc4c33b5be2b9746597a444a9f5da9bc6cccfa9"),
+    ("cycles --r 3 --m 4,5,3 --t 2", 0,
+     "9667b6c38ede41ea63465fdca1fd6af643dde2c35212e2ffa15e5d2a8c63e6f2"),
+    # all five removal classes occur: C1 24, C2 112, C3a 120, C3b 82, C3c 49
+    ("trees --r 5 --m 3,4,3,5,3 --t 2 --by-class", 0,
+     "c2f6714d30dd5af9257dab11e7cc39165e746b914e0624e04258a712348dcc8f"),
 ]
 
 

@@ -34,7 +34,7 @@ def _prime(ground, *vars_):
 
 
 def _labels(g, s):
-    return [str(g.label_of(i)) for i in s]
+    return [g.labels[i] for i in s]
 
 
 def test_generating_system_is_minimalized():
@@ -251,7 +251,7 @@ def test_example_instance_certificate(fig1):
     ideal = facet_ideal(spanning_complex(fig1))
     cert = quasi_linear_certificate(ideal, paper_ordering(fig1, ideal))
     assert len(cert.witnesses) == len(ideal) - 1
-    assert [str(fig1.label_of(v)) for v in cert.witnesses] == [
+    assert [fig1.labels[v] for v in cert.witnesses] == [
         "e_{1,2}", "e_{1,3}", "e_{2,2}", "e_{2,3}", "e_{1,2}",
         "e_{1,2}", "e_{1,2}", "e_{1,3}", "e_{1,3}", "e_{1,3}",
     ]

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import pytest
 
@@ -9,25 +10,34 @@ from cyclechain import (
     count_trees_characterized,
     count_trees_kirchhoff,
     enumerate_trees_characterized,
-    enumerate_trees_oracle,
     family_instances,
+    oracle,
+    removal_class,
 )
 from cyclechain.edgeset import EdgeSet
 from cyclechain.spanning import _classify, _consecutive_runs
 
 
-def _removed_labels(g, sts):
+def _by_class(g, trees):
+    return Counter(removal_class(g, tree) for tree in trees)
+
+
+def _removed_labels(g, trees):
     return {
-        frozenset(str(g.label_of(i)) for i in rm.removed): rm.class_tag
-        for rm in sts.removals
+        frozenset(g.labels[i] for i in tree.complement()): removal_class(g, tree)
+        for tree in trees
     }
 
 
+def _oracle_masks(g):
+    return set(oracle.spanning_tree_masks(g.endpoints, g.num_vertices))
+
+
 def test_example_instance_trees(fig1):
-    sts = enumerate_trees_characterized(fig1)
-    assert len(sts) == 11
-    assert sts.by_class == {"C1": 6, "C2": 5}
-    masks = [tree.mask for tree in sts.trees]
+    trees = enumerate_trees_characterized(fig1)
+    assert len(trees) == 11
+    assert _by_class(fig1, trees) == {"C1": 6, "C2": 5}
+    masks = [tree.mask for tree in trees]
     assert masks == sorted(masks)
 
 
@@ -45,16 +55,17 @@ def test_example_instance_removals(fig1):
 
 def test_every_removal_has_r_edges(fig1, chain3):
     for g in (fig1, chain3):
-        for rm in enumerate_trees_characterized(g).removals:
-            assert len(rm.removed) == g.r
-            assert all(i < g.n - g.t for i in rm.removed)
+        for tree in enumerate_trees_characterized(g):
+            removed = tree.complement()
+            assert len(removed) == g.r
+            assert all(i < g.n - g.t for i in removed)
 
 
 def test_single_cycle(triangle):
-    sts = enumerate_trees_characterized(triangle)
-    assert len(sts) == 3
-    assert sts.by_class == {"C1": 3}
-    assert sts.tree_masks() == {0b011, 0b101, 0b110}
+    trees = enumerate_trees_characterized(triangle)
+    assert len(trees) == 3
+    assert _by_class(triangle, trees) == {"C1": 3}
+    assert [tree.mask for tree in trees] == [0b011, 0b101, 0b110]
 
 
 def test_two_cycles_count_is_pairwise_product_sum():
@@ -68,34 +79,34 @@ def test_two_cycles_count_is_pairwise_product_sum():
 
 
 def test_three_cycles(chain3):
-    sts = enumerate_trees_characterized(chain3)
-    assert len(sts) == 21
-    assert sts.by_class == {"C1": 4, "C2": 12, "C3a": 5}
+    trees = enumerate_trees_characterized(chain3)
+    assert len(trees) == 21
+    assert _by_class(chain3, trees) == {"C1": 4, "C2": 12, "C3a": 5}
 
 
 def test_long_chains_cover_all_classes():
     g4 = build_chain_graph(4, [3, 3, 3, 3], 0)
-    assert set(enumerate_trees_characterized(g4).by_class) == {
+    assert set(_by_class(g4, enumerate_trees_characterized(g4))) == {
         "C1", "C2", "C3a", "C3b",
     }
     g5 = build_chain_graph(5, [3, 4, 3, 4, 3], 1)
-    sts = enumerate_trees_characterized(g5)
-    assert set(sts.by_class) == {"C1", "C2", "C3a", "C3b", "C3c"}
-    assert sum(sts.by_class.values()) == len(sts) == 297
+    trees = enumerate_trees_characterized(g5)
+    assert set(_by_class(g5, trees)) == {"C1", "C2", "C3a", "C3b", "C3c"}
+    assert len(trees) == 297
 
 
 def test_matches_oracle_and_kirchhoff(small_instances):
     for g in small_instances:
-        sts = enumerate_trees_characterized(g)
-        assert sts.tree_masks() == enumerate_trees_oracle(g).tree_masks()
-        assert len(sts) == count_trees_kirchhoff(g)
+        trees = enumerate_trees_characterized(g)
+        assert {tree.mask for tree in trees} == _oracle_masks(g)
+        assert len(trees) == count_trees_kirchhoff(g)
 
 
 def test_oracle_cap():
     # C(41, 8) = 95,548,245 ways to delete 8 of 41 edges, past the 10^6 cap
     g = build_chain_graph(8, [6] * 8, 0)
     with pytest.raises(SearchSpaceTooLarge, match="^95548245 deletion candidates"):
-        enumerate_trees_oracle(g)
+        oracle.spanning_tree_masks(g.endpoints, g.num_vertices)
 
 
 def test_count_matches_the_enumeration_on_the_family():
@@ -152,10 +163,10 @@ def _enumerate_by_patterns(g):
 def test_walk_lists_what_the_pattern_product_lists_on_the_family():
     for r, m, t in family_instances(4, 5, 3):
         g = build_chain_graph(r, m, t)
-        sts = enumerate_trees_characterized(g)
+        full = g.full_mask
         listed = [
-            (tree.mask, rm.removed.mask, rm.class_tag)
-            for tree, rm in zip(sts.trees, sts.removals)
+            (tree.mask, full ^ tree.mask, removal_class(g, tree))
+            for tree in enumerate_trees_characterized(g)
         ]
         assert listed == _enumerate_by_patterns(g), (r, m, t)
 
@@ -185,8 +196,8 @@ def test_count_matches_kirchhoff_past_enumeration():
 
 def test_forest_edges_never_removed(fig1):
     forest = EdgeSet.of(range(6, 10), fig1.n)
-    for rm in enumerate_trees_characterized(fig1).removals:
-        assert rm.removed.isdisjoint(forest)
+    for tree in enumerate_trees_characterized(fig1):
+        assert tree.complement().isdisjoint(forest)
 
 
 def test_removal_sets_are_distinct_and_count_the_trees():
@@ -194,7 +205,7 @@ def test_removal_sets_are_distinct_and_count_the_trees():
     # must already be pairwise distinct and as many as Kirchhoff's count
     for r, m, t in family_instances(4, 4, 1):
         g = build_chain_graph(r, m, t)
-        sts = enumerate_trees_characterized(g)
-        removed = [rm.removed.mask for rm in sts.removals]
+        masks = [tree.mask for tree in enumerate_trees_characterized(g)]
+        removed = [g.full_mask ^ k for k in masks]
         assert len(set(removed)) == len(removed) == count_trees_kirchhoff(g)
-        assert [g.full_mask ^ k for k in removed] == [s.mask for s in sts.trees]
+        assert masks == sorted(masks)

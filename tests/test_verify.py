@@ -191,8 +191,7 @@ def _drop_the_first_listed_tree(monkeypatch):
     real = simplicial.enumerate_trees_characterized
 
     def drop_one(g):
-        sts = real(g)
-        return spanning.SpanningTreeSet(sts.trees[1:], sts.by_class, sts.removals[1:])
+        return real(g)[1:]
 
     monkeypatch.setattr(simplicial, "enumerate_trees_characterized", drop_one)
 
@@ -234,6 +233,17 @@ def test_tree_cap_skips_the_cover_checks_too(fig1):
     assert [(c.status, c.detail) for c in report.checks] == [
         ("skipped", "45 deletion candidates exceed the cap of 5")
     ] * 2
+    assert report.ok
+
+
+def test_tree_cap_skips_cm_before_listing_a_tree(monkeypatch):
+    g = build_chain_graph(4, [5] * 4, 0)
+    built = _count_calls(monkeypatch, "enumerate_trees_characterized", module=simplicial)
+    report = verify_instance(g, checks=("cm",), tree_cap=100)
+    assert [(c.status, c.detail) for c in report.checks] == [
+        ("skipped", "551 spanning trees exceed the cap of 100")
+    ]
+    assert built == {"enumerate_trees_characterized": 0}
     assert report.ok
 
 
