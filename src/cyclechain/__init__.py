@@ -15,7 +15,6 @@ from .chain_graph import (
     build_chain_graph,
     composite_cycle,
     composite_length,
-    cycle_intersection_size,
     intersection_formula,
     intersection_report,
 )
@@ -36,8 +35,6 @@ from .hilbert import (
     hilbert_series,
 )
 from .ideal import (
-    CMVerdict,
-    MonomialIdeal,
     QuotientCertificate,
     cohen_macaulay_verdict,
     colon_mindeg,

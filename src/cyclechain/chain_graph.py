@@ -262,11 +262,6 @@ def all_cycles(g: ChainGraph) -> list[CompositeCycle]:
     return out
 
 
-def cycle_intersection_size(g: ChainGraph, a: CompositeCycle, b: CompositeCycle) -> int:
-    """Exact intersection size of two cycles, straight from the edge sets."""
-    return len(a.edges & b.edges)
-
-
 def intersection_formula(g: ChainGraph, a: CompositeCycle, b: CompositeCycle) -> tuple[int, int]:
     """Closed-form predictor for the intersection size.
 
@@ -320,7 +315,7 @@ def intersection_report(g: ChainGraph) -> list[PairComparison]:
             PairComparison(
                 (a.start, a.span),
                 (b.start, b.span),
-                cycle_intersection_size(g, a, b),
+                len(a.edges & b.edges),
                 predicted,
                 row,
             )

@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from . import hilbert, ideal, simplicial, spanning, verify
+from . import hilbert, ideal, oracle, simplicial, spanning, verify
 from .chain_graph import all_cycles, build_chain_graph
 from .errors import (
     BadAttachment,
@@ -248,22 +248,22 @@ def cmd_covers(args) -> int:
 
 def cmd_decompose(args) -> int:
     # The predicted cover ranges are provably incomplete for r >= 2 (see
-    # verify's covers check), so the decomposition uses the exhaustive
-    # minimal covers of the listed trees; by blocker duality the equality
-    # below then holds whatever the listing is.
+    # verify's covers check), so the primes are the exhaustive minimal
+    # covers of the brute-force trees, as in verify's decomposition check.
+    # Their intersection is the facet ideal of the true trees, so the
+    # comparison below fails on a wrong listing.
     g = _load_graph(args)
-    c = simplicial.spanning_complex(g)
-    covers = ideal.minimal_vertex_covers_oracle(c)
-    met = ideal.intersect_primes(covers, g.n)
-    direct = ideal.facet_ideal(c)
-    equal = met.generators == direct.generators
+    trees = oracle.spanning_tree_masks(g.endpoints, g.num_vertices)
+    covers = [g.edge_set(m) for m in oracle.minimal_hitting_sets(trees)]
+    met = ideal.intersect_primes(covers)
+    equal = met == ideal.facet_ideal(simplicial.spanning_complex(g))
     obj = {
         "primes": [labels_of(g, c) for c in covers],
-        "generators": [labels_of(g, s) for s in met.generators],
+        "generators": [labels_of(g, s) for s in met],
         "equals_facet_ideal": equal,
     }
     lines = [
-        f"{len(covers)} primes, {len(met.generators)} intersection generators",
+        f"{len(covers)} primes, {len(met)} intersection generators",
         f"equals facet ideal: {equal}",
     ]
     _emit(obj, lines, args.pretty)
@@ -273,12 +273,12 @@ def cmd_decompose(args) -> int:
 def cmd_certify(args) -> int:
     g = _load_graph(args)
     fi = ideal.facet_ideal(simplicial.spanning_complex(g))
-    cert = ideal.quasi_linear_certificate(fi, ideal.paper_ordering(g, fi))
+    cert = ideal.cohen_macaulay_verdict(g, fi)
     replayed = ideal.replay_certificate(fi, cert)
     full = g.edge_set(g.full_mask)
     obj = {
         "steps": len(cert.ordering),
-        "ordering": [labels_of(g, full ^ fi.generators[i]) for i in cert.ordering],
+        "ordering": [labels_of(g, full ^ fi[i]) for i in cert.ordering],
         "ordering_indices": list(cert.ordering),
         "witnesses": [g.labels[v] for v in cert.witnesses],
         "replayed": replayed,

@@ -28,16 +28,6 @@ class EdgeSet:
             raise ValueError(f"mask {self.mask:#x} has bits outside ground size {self.ground}")
 
     @classmethod
-    def empty(cls, ground: int) -> "EdgeSet":
-        return cls(0, ground)
-
-    @classmethod
-    def full(cls, ground: int) -> "EdgeSet":
-        if not 0 <= ground <= MAX_GROUND:
-            raise CapacityExceeded(f"ground set size {ground} exceeds {MAX_GROUND}")
-        return cls((1 << ground) - 1, ground)
-
-    @classmethod
     def of(cls, indices: Iterable[int], ground: int) -> "EdgeSet":
         mask = 0
         for i in indices:
@@ -45,10 +35,6 @@ class EdgeSet:
                 raise ValueError(f"index {i} outside ground size {ground}")
             mask |= 1 << i
         return cls(mask, ground)
-
-    @classmethod
-    def single(cls, index: int, ground: int) -> "EdgeSet":
-        return cls.of((index,), ground)
 
     def _check(self, other: "EdgeSet") -> None:
         if self.ground != other.ground:
@@ -92,21 +78,6 @@ class EdgeSet:
     def issubset(self, other: "EdgeSet") -> bool:
         self._check(other)
         return self.mask & ~other.mask == 0
-
-    def isdisjoint(self, other: "EdgeSet") -> bool:
-        self._check(other)
-        return self.mask & other.mask == 0
-
-    def add(self, index: int) -> "EdgeSet":
-        if not 0 <= index < self.ground:
-            raise ValueError(f"index {index} outside ground size {self.ground}")
-        return EdgeSet(self.mask | 1 << index, self.ground)
-
-    def remove(self, index: int) -> "EdgeSet":
-        return EdgeSet(self.mask & ~(1 << index), self.ground)
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(self)
 
     def __repr__(self) -> str:
         return f"EdgeSet({{{','.join(map(str, self))}}}, ground={self.ground})"

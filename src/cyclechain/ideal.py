@@ -1,7 +1,9 @@
 """Facet ideal of the spanning complex: covers, decomposition, colon steps.
 
-Square-free monomials are EdgeSet supports throughout, so ideal arithmetic
-is bitmask arithmetic:
+Square-free monomials are EdgeSet supports throughout, and a square-free
+monomial ideal is its minimal generating system, which is unique: a plain
+tuple of EdgeSets in (size, mask) order, all on the ground of the
+variables.  Ideal arithmetic is then bitmask arithmetic:
 
   * membership: m is in I iff some generator's support is a subset of m's;
   * colon by a square-free monomial: generator supports minus the monomial's;
@@ -20,8 +22,8 @@ generating systems; the verify module holds them to that.
 The quotient certificate machinery checks that a given generator ordering
 has every prefix colon generated in minimum degree exactly one, which is
 the shellability witness the Cohen-Macaulay verdict rests on.  A failed
-certificate only condemns the ordering, never the ring, so the verdict
-falls back to "inconclusive" rather than "not CM".
+certificate raises CertificateFails; it only condemns the ordering, never
+the ring, so a caller reports it as inconclusive rather than "not CM".
 
 The certificate takes ideals whose generators share one degree (every
 facet ideal does).  Then the prefix colon at m_p has mindeg 1 exactly when
@@ -42,45 +44,14 @@ from .simplicial import SimplicialComplex
 from . import oracle
 
 
-def _minimalize(masks) -> list[int]:
-    """Inclusion-minimal members, sorted by (size, value)."""
-    uniq = sorted(set(masks), key=lambda m: (m.bit_count(), m))
-    keep: list[int] = []
-    for m in uniq:
-        if not any(k & m == k for k in keep):
-            keep.append(m)
-    return keep
-
-
-@dataclass(frozen=True)
-class MonomialIdeal:
-    """Square-free monomial ideal with a minimal generating system."""
-
-    ground_size: int
-    generators: tuple[EdgeSet, ...]
-
-    @classmethod
-    def of(cls, gens, ground_size: int) -> "MonomialIdeal":
-        masks = _minimalize(g.mask for g in gens)
-        return cls(ground_size, tuple(EdgeSet(m, ground_size) for m in masks))
-
-    def contains(self, m: EdgeSet) -> bool:
-        return any(g.issubset(m) for g in self.generators)
-
-    def __len__(self) -> int:
-        return len(self.generators)
-
-
-def facet_ideal(c: SimplicialComplex) -> MonomialIdeal:
+def facet_ideal(c: SimplicialComplex) -> tuple[EdgeSet, ...]:
     """Generators are the facets, read as square-free supports.
 
     The complex has already rejected duplicate facets and facets of mixed
     sizes, so no facet divides another and the facets are a minimal
-    generating system as they stand; they only need the (size, value) order
-    that MonomialIdeal.of gives.
+    generating system as they stand; they only need the (size, mask) order.
     """
-    gens = sorted(c.facets, key=lambda f: (len(f), f.mask))
-    return MonomialIdeal(c.ground_size, tuple(gens))
+    return tuple(sorted(c.facets, key=lambda f: (len(f), f.mask)))
 
 
 def minimal_vertex_covers_oracle(c: SimplicialComplex) -> list[EdgeSet]:
@@ -120,12 +91,11 @@ def _fold_prime(cur: list[int], prime: int) -> list[int]:
     return kept + grown
 
 
-def intersect_primes(
-    primes, ground_size: int, cap: int = 10**6
-) -> MonomialIdeal:
+def intersect_primes(primes, *, cap: int = 10**6) -> tuple[EdgeSet, ...]:
     """Intersection of variable primes, each given by the EdgeSet of its
-    variables, as a square-free monomial ideal; EmptyIdeal for no primes,
-    ValueError for a prime without variables.
+    variables, as the minimal generators of a square-free monomial ideal
+    over the primes' ground; EmptyIdeal for no primes, ValueError for a
+    prime without variables.
 
     Folds one prime P in at a time, keeping the family minimal.  A
     generator k that meets P stays, and every product of it is a multiple
@@ -151,36 +121,33 @@ def intersect_primes(
             )
         cur = _fold_prime(cur, p.mask)
     cur.sort(key=lambda m: (m.bit_count(), m))
-    return MonomialIdeal(
-        ground_size, tuple(EdgeSet(m, ground_size) for m in cur)
-    )
+    return tuple(EdgeSet(m, primes[0].ground) for m in cur)
 
 
-def colon_mindeg(
-    ideal: MonomialIdeal, m: EdgeSet
-) -> tuple[int, tuple[EdgeSet, ...]]:
-    """Minimum generator degree of (ideal : m), with the witnesses.
+def colon_mindeg(gens, m: EdgeSet) -> tuple[int, tuple[EdgeSet, ...]]:
+    """Minimum generator degree of (I : m), with the witnesses, for the
+    ideal I that gens generate.
 
     Each generator g contributes g minus m's support to the colon.  A
     minimum-degree difference is automatically a minimal generator, so no
     minimalization pass is needed to find the mindeg.  Degree 0 (an empty
-    difference) means m already lies in the ideal; the unit ideal's mindeg
+    difference) means m already lies in I; the unit ideal's mindeg
     is 0 by convention.
     """
-    if not ideal.generators:
+    if not gens:
         raise EmptyIdeal("colon of the zero ideal has no generators")
-    diffs = [(gen - m) for gen in ideal.generators]
+    diffs = [(gen - m) for gen in gens]
     mindeg = min(len(d) for d in diffs)
     witnesses = sorted(
         {d.mask for d in diffs if len(d) == mindeg}
     )
-    return mindeg, tuple(EdgeSet(w, ideal.ground_size) for w in witnesses)
+    return mindeg, tuple(EdgeSet(w, m.ground) for w in witnesses)
 
 
-def paper_ordering(g: ChainGraph, ideal: MonomialIdeal) -> list[int]:
+def paper_ordering(g: ChainGraph, gens) -> list[int]:
     """Ordering of the facet ideal's generators by removal-set blocks.
 
-    Returns positions in ideal.generators.  Each generator is a spanning
+    Returns positions in gens.  Each generator is a spanning
     tree of g, and its removal set is the rest of g's edges.  Block 0 is
     the single tree whose removal is every shared edge plus the first edge
     of the last cycle.  Every other removal is ranked by how long a leading
@@ -202,7 +169,7 @@ def paper_ordering(g: ChainGraph, ideal: MonomialIdeal) -> list[int]:
                 break
         return 1 if run == g.r - 1 else g.r - run
 
-    removals = [g.full_mask ^ gen.mask for gen in ideal.generators]
+    removals = [g.full_mask ^ gen.mask for gen in gens]
     return sorted(
         range(len(removals)),
         key=lambda i: (block(removals[i]), _bits(removals[i])),
@@ -245,9 +212,7 @@ def _require_one_degree(gens) -> None:
         raise ValueError("the certificate needs generators of one degree")
 
 
-def quasi_linear_certificate(
-    ideal: MonomialIdeal, ordering
-) -> QuotientCertificate:
+def quasi_linear_certificate(gens, ordering) -> QuotientCertificate:
     """Check mindeg((m_1..m_{p-1}) : m_p) == 1 along the ordering.
 
     Raises CertificateFails at the first position where the prefix colon's
@@ -262,7 +227,6 @@ def quasi_linear_certificate(
     |m_p| (n - |m_p|) lookups.  Only a step with no hit runs colon_mindeg
     on the earlier generators, to report its true mindeg.
     """
-    gens = ideal.generators
     ordering = tuple(ordering)
     if sorted(ordering) != list(range(len(gens))):
         raise ValueError("ordering is not a permutation of the generators")
@@ -273,17 +237,15 @@ def quasi_linear_certificate(
     position = {m: p for p, m in enumerate(masks)}
     witnesses: list[int] = []
     for p in range(1, len(masks)):
-        var = _exchange_witness(position, masks[p], p, ideal.ground_size)
+        var = _exchange_witness(position, masks[p], p, gens[0].ground)
         if var is None:
-            earlier = MonomialIdeal(
-                ideal.ground_size, tuple(gens[i] for i in ordering[:p])
-            )
+            earlier = [gens[i] for i in ordering[:p]]
             raise CertificateFails(p + 1, colon_mindeg(earlier, gens[ordering[p]])[0])
         witnesses.append(var)
     return QuotientCertificate(ordering, tuple(witnesses))
 
 
-def replay_certificate(ideal: MonomialIdeal, cert: QuotientCertificate) -> bool:
+def replay_certificate(gens, cert: QuotientCertificate) -> bool:
     """Re-verify a certificate from scratch: v * m_p must be a member of
     the ideal of the earlier generators, for every step.  An ordering that
     is not a permutation of the generators certifies nothing, and
@@ -293,7 +255,6 @@ def replay_certificate(ideal: MonomialIdeal, cert: QuotientCertificate) -> bool:
     the k+1 variables of v * m_p are (m_p + v) - x for x in it, so
     membership is |m_p| + 1 position lookups.
     """
-    gens = ideal.generators
     if sorted(cert.ordering) != list(range(len(gens))):
         return False
     _require_one_degree(gens)
@@ -306,34 +267,12 @@ def replay_certificate(ideal: MonomialIdeal, cert: QuotientCertificate) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CMVerdict:
-    certified: bool
-    detail: str
-    certificate: QuotientCertificate | None
-    failed_step: int | None = None
-    failed_mindeg: int | None = None
-
-
-def cohen_macaulay_verdict(g: ChainGraph, ideal: MonomialIdeal) -> CMVerdict:
-    """Purity plus a successful quotient certificate on the block ordering
-    of ideal, the facet ideal of g's spanning complex.
+def cohen_macaulay_verdict(g: ChainGraph, gens) -> QuotientCertificate:
+    """The quotient certificate on the block ordering of gens, the facet
+    ideal of g's spanning complex; CertificateFails at the first failing
+    step.
 
     Shellability through one ordering is sufficient but not necessary, so
-    a failed certificate yields "inconclusive", never a negative.
+    a failed certificate leaves the verdict inconclusive, never negative.
     """
-    try:
-        cert = quasi_linear_certificate(ideal, paper_ordering(g, ideal))
-    except CertificateFails as e:
-        return CMVerdict(
-            certified=False,
-            detail=f"inconclusive: colon at step {e.step} has mindeg {e.mindeg}",
-            certificate=None,
-            failed_step=e.step,
-            failed_mindeg=e.mindeg,
-        )
-    return CMVerdict(
-        certified=True,
-        detail="pure complex with quasi-linear quotients on the block ordering",
-        certificate=cert,
-    )
+    return quasi_linear_certificate(gens, paper_ordering(g, gens))

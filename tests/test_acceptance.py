@@ -36,8 +36,11 @@ from cyclechain import (
     verify_instance,
 )
 from cyclechain.edgeset import EdgeSet
-from cyclechain.ideal import MonomialIdeal
-from cyclechain.oracle import bareiss_determinant, spanning_tree_masks
+from cyclechain.oracle import (
+    bareiss_determinant,
+    minimal_hitting_sets,
+    spanning_tree_masks,
+)
 from cyclechain.util import binom
 from cyclechain.verify import family_instances
 
@@ -86,7 +89,7 @@ def test_criterion_1_example_instance_battery(fig1):
     cert = quasi_linear_certificate(ideal, paper_ordering(fig1, ideal))
     assert len(cert.witnesses) == 10
     assert replay_certificate(ideal, cert)
-    assert cohen_macaulay_verdict(fig1, ideal).certified
+    assert cohen_macaulay_verdict(fig1, ideal) == cert
 
     assert time.perf_counter() - started < 1.0
 
@@ -127,10 +130,14 @@ def test_criterion_4_hilbert_expansion_matches_dimension_counts():
 
 
 def test_criterion_5_cover_decomposition_and_reported_gap():
+    # the covers of the brute-force trees, so that their intersection
+    # tests the listing behind facet_ideal
     for g in SMALL:
-        c = spanning_complex(g)
-        covers = minimal_vertex_covers_oracle(c)
-        assert intersect_primes(covers, g.n) == facet_ideal(c), (g.r, g.m, g.t)
+        trees = spanning_tree_masks(g.endpoints, g.num_vertices)
+        covers = [g.edge_set(m) for m in minimal_hitting_sets(trees)]
+        assert intersect_primes(covers) == facet_ideal(spanning_complex(g)), (
+            g.r, g.m, g.t,
+        )
         lemma_masks = {s.mask for s in covers_lemma41(g)}
         oracle_masks = {s.mask for s in covers}
         assert lemma_masks <= oracle_masks, (g.r, g.m, g.t)
@@ -187,10 +194,10 @@ def test_criterion_7_property_suites():
         assert (x - y).mask == x.mask & ~y.mask
         assert (x | y).complement() == x.complement() & y.complement()
         assert x.issubset(y) == (len(x - y) == 0)
-        assert x.isdisjoint(y) == (len(x & y) == 0)
+        assert (not (x & y)) == (len(x & y) == 0)
         assert (x ^ y) == (x | y) - (x & y)
         assert len(x) == x.mask.bit_count()
-        assert tuple(x) == x.indices() == tuple(sorted(x.indices()))
+        assert list(x) == sorted(x)
 
     # determinant: cofactor reference and row-order invariance
     def reference(mat):
@@ -221,7 +228,7 @@ def test_criterion_7_property_suites():
         c = spanning_complex(g)
         covers = minimal_vertex_covers_oracle(c)
         for s in covers:
-            assert all(not s.isdisjoint(f) for f in c.facets)
+            assert all(s & f for f in c.facets)
         for s in covers:
             for s2 in covers:
                 assert s == s2 or not s.issubset(s2)
@@ -231,10 +238,9 @@ def test_criterion_7_property_suites():
         ground = rng.randint(3, 12)
         full = (1 << ground) - 1
         gens = [EdgeSet(rng.randint(1, full), ground) for _ in range(rng.randint(1, 6))]
-        ideal = MonomialIdeal.of(gens, ground)
         m = EdgeSet(rng.randint(0, full), ground)
-        deg, witnesses = colon_mindeg(ideal, m)
-        assert (deg == 0) == ideal.contains(m)
+        deg, witnesses = colon_mindeg(gens, m)
+        assert (deg == 0) == any(gen.issubset(m) for gen in gens)
         for w in witnesses:
             assert len(w) == deg
-            assert ideal.contains(m | w)
+            assert any(gen.issubset(m | w) for gen in gens)

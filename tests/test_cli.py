@@ -121,6 +121,36 @@ def test_decompose(capsys):
     assert len(obj["generators"]) == 11
 
 
+def test_decompose_catches_a_wrong_listing(capsys, monkeypatch):
+    # the primes come from the brute-force trees, so a listing that misses
+    # a tree no longer gives the facet ideal their intersection gives
+    real = simplicial.enumerate_trees_characterized
+    monkeypatch.setattr(simplicial, "enumerate_trees_characterized", lambda g: real(g)[1:])
+    code, obj, _ = run_json(capsys, "decompose", *FIG1)
+    assert code == 5
+    assert obj["equals_facet_ideal"] is False
+    assert len(obj["primes"]) == 14 and len(obj["generators"]) == 11
+
+
+def test_decompose_over_the_tree_search_cap(capsys):
+    # C(29, 7) = 1,560,780 deletion candidates exceed the cap of 10^6
+    code, out, err = run(capsys, "decompose", "--r", "7", "--m", "5,5,5,5,5,5,5")
+    assert code == 3 and out == ""
+    assert err == "error: 1560780 deletion candidates exceed the cap of 1000000\n"
+
+
+def test_certify_failure_exits_4(capsys, monkeypatch):
+    # generators 0 and 4 of the running example differ in two edges
+    monkeypatch.setattr(
+        ideal,
+        "paper_ordering",
+        lambda g, gens: [0, 4] + [k for k in range(1, len(gens)) if k != 4],
+    )
+    code, out, err = run(capsys, "certify", *FIG1)
+    assert code == 4 and out == ""
+    assert "step 2 has minimum degree 2" in err
+
+
 def test_certify(capsys):
     code, obj, _ = run_json(capsys, "certify", "--r", "1", "--m", "3")
     assert code == 0

@@ -167,6 +167,23 @@ def test_verify_instance_makes_the_calls_the_traced_benchmark_requires(
     assert all(oracles.values()) and all(primes.values()), (oracles, primes)
 
 
+def test_a_failing_certificate_is_an_inconclusive_cm_mismatch(monkeypatch, fig1):
+    # generators 0 and 4 of the running example differ in two edges, so the
+    # colon at step 2 has minimum degree 2
+    monkeypatch.setattr(
+        ideal,
+        "paper_ordering",
+        lambda g, gens: [0, 4] + [k for k in range(1, len(gens)) if k != 4],
+    )
+    (cm,) = verify_instance(fig1, checks=("cm",)).checks
+    assert cm.status == "mismatch"
+    assert cm.detail == {
+        "verdict": "inconclusive: colon at step 2 has mindeg 2",
+        "step": 2,
+        "mindeg": 2,
+    }
+
+
 def test_capped_face_oracle_skips_both_checks_after_one_call(monkeypatch, fig1):
     calls = _count_calls(monkeypatch, "downset_faces")
     report = verify_instance(fig1, checks=("fvector", "hilbert"), face_cap=50)
@@ -304,7 +321,7 @@ def test_no_module_state_keeps_a_graph_alive():
     enumerate_trees_characterized(g)
     c = spanning_complex(g)
     assert hilbert_function_oracle(g, 3)[3] > 0
-    assert cohen_macaulay_verdict(g, facet_ideal(c)).certified
+    assert len(cohen_macaulay_verdict(g, facet_ideal(c)).ordering) == len(c.facets)
     assert verify_instance(g).checks[0].status == "match"
     alive = weakref.ref(g)
     del g, c
