@@ -22,6 +22,10 @@ GOLDEN = [
      "5e33f73b799295b373f45922119531d08dc72bd99ffa07e3c9f3396c85427d7c"),
     ("covers --r 4 --m 5,3,4,6 --t 2", 0,
      "26d61917de5ed0a813138c225d18389f2166ac395ba552671843c7957e9c22b6"),
+    ("covers --method oracle --r 4 --m 5,3,4,6 --t 2", 0,
+     "e0ee73e0f1072e63079c04229db05817d0fea4d4ce7d478984d9dc74dd293940"),
+    ("covers --method oracle --r 5 --m 6,6,6,6,6", 0,
+     "5c5894134fe3b4349460db586a702f67b8033cdf7bbd91390d7608ca7e80337c"),
     ("certify --r 4 --m 5,5,5,5 --t 3", 0,
      "8e34ba23d67a59273905a7cc7f5343a7292d25e9a07f1f3eca552964d922914a"),
     ("certify --r 3 --m 4,5,4 --pretty", 0,

@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from cyclechain import SearchSpaceTooLarge
+from cyclechain import SearchSpaceTooLarge, oracle
 from cyclechain.oracle import (
     MAX_FACE_GROUND,
     bareiss_determinant,
@@ -173,3 +173,38 @@ def test_hitting_sets_are_minimal_transversals(sets):
         for b in out:
             if a != b:
                 assert a & b != a
+
+
+@st.composite
+def set_family(draw):
+    """Up to 7 sets on an 8-bit ground, then repeats of some of them and
+    possibly an empty member."""
+    sets = draw(st.lists(st.integers(1, 0xFF), max_size=7))
+    if sets:
+        sets += draw(st.lists(st.sampled_from(sets), max_size=3))
+    if draw(st.booleans()):
+        sets.append(0)
+    return draw(st.permutations(sets))
+
+
+@given(set_family())
+def test_hitting_sets_are_all_minimal_transversals(sets):
+    hitting = [h for h in range(1 << 8) if all(h & s for s in sets)]
+    minimal = [h for h in hitting if not any(k != h and k & h == k for k in hitting)]
+    minimal.sort(key=lambda m: (m.bit_count(), m))
+    assert minimal_hitting_sets(sets) == minimal
+
+
+def test_hitting_sets_cap(monkeypatch):
+    # {0,1} and {2,3} give the four transversals 02, 03, 12, 13; {0,2}
+    # keeps 02, 03, 12 and grows 13 into 013 and 123, both dominated
+    sets = [0b0011, 0b1100, 0b0101]
+    monkeypatch.setattr(oracle, "_TRANSVERSAL_CAP", 3)
+    with pytest.raises(
+        SearchSpaceTooLarge,
+        match="^intermediate transversal family exceeds the cap of 3$",
+    ):
+        minimal_hitting_sets(sets)
+    # five products in the last step, but no family above four
+    monkeypatch.setattr(oracle, "_TRANSVERSAL_CAP", 4)
+    assert minimal_hitting_sets(sets) == [0b0101, 0b0110, 0b1001]
