@@ -12,8 +12,9 @@ variables.  Ideal arithmetic is then bitmask arithmetic:
 The intersection folds one prime P into a minimal family at a time.  A
 generator k that meets P stays as it is; a generator m that misses P grows
 to m | v for every v in P.  Of all these candidates only a kept k can
-divide a grown m | v, and only when v is in k and k - v lies inside m, so
-that one test replaces the all-pairs minimalization of the products.
+divide a grown m | v, and only when k meets P in v alone and k - v lies
+inside m, so that one test replaces the all-pairs minimalization of the
+products.
 
 The decomposition route (the exhaustive minimal covers, intersected as
 variable primes) and the direct facet ideal must produce identical minimal
@@ -79,13 +80,15 @@ def _fold_prime(cur: list[int], prime: int) -> list[int]:
     variables are the bits of prime, for an antichain cur."""
     kept = [k for k in cur if k & prime]
     missing = [m for m in cur if not m & prime]
-    rests = [
-        (1 << v, [k ^ 1 << v for k in kept if k >> v & 1]) for v in _bits(prime)
-    ]
+    rests: dict[int, list[int]] = {1 << v: [] for v in _bits(prime)}
+    for k in kept:
+        meet = k & prime
+        if meet in rests:
+            rests[meet].append(k ^ meet)
     grown = [
         m | bit
         for m in missing
-        for bit, rest in rests
+        for bit, rest in rests.items()
         if not any(k & m == k for k in rest)
     ]
     return kept + grown

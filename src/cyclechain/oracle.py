@@ -209,15 +209,6 @@ def downset_face_counts(facet_masks, cap: int = 1 << 24) -> list[int]:
 _TRANSVERSAL_CAP = 10**6
 
 
-def _minimal_masks(masks) -> list[int]:
-    uniq = sorted(set(masks), key=lambda m: (m.bit_count(), m))
-    keep: list[int] = []
-    for m in uniq:
-        if not any(km & m == km for km in keep):
-            keep.append(m)
-    return keep
-
-
 def minimal_hitting_sets(sets) -> list[int]:
     """All inclusion-minimal transversals of a family of bitmask sets.
 
@@ -226,22 +217,43 @@ def minimal_hitting_sets(sets) -> list[int]:
     (size, mask) on return.  An empty member admits no transversal.
     Raises SearchSpaceTooLarge when a partial family outgrows
     _TRANSVERSAL_CAP.
+
+    Folding s into a minimal family keeps every member h that meets s and
+    grows every member t that misses s to t | e for each e in s.  Kept
+    members never nest, nor do grown ones: t | e inside t' | e' puts e in
+    s & (t' | e') = {e'}, so e = e' and t lies inside t'.  A grown t | e
+    never lies inside a kept h, since t would then lie strictly inside h.
+    So the one domination left is a kept h inside t | e, which needs
+    h & s == e and h - e inside t: each step indexes the kept members that
+    meet s in one element by that element, and tests each t | e against
+    its own element's blockers only.
     """
     trans = [0]
     for s in sets:
         if s == 0:
             return []
-        new: list[int] = []
-        for tmask in trans:
-            if tmask & s:
-                new.append(tmask)
-            else:
-                rest = s
-                while rest:
-                    low = rest & -rest
-                    new.append(tmask | low)
-                    rest ^= low
-        trans = _minimal_masks(new)
+        blockers: dict[int, list[int]] = {}
+        rest = s
+        while rest:
+            low = rest & -rest
+            blockers[low] = []
+            rest ^= low
+        hit: list[int] = []
+        miss: list[int] = []
+        for t in trans:
+            meet = t & s
+            if not meet:
+                miss.append(t)
+                continue
+            hit.append(t)
+            if meet in blockers:
+                blockers[meet].append(t ^ meet)
+        trans = hit + [
+            t | e
+            for e, below in blockers.items()
+            for t in miss
+            if not any(b & t == b for b in below)
+        ]
         if len(trans) > _TRANSVERSAL_CAP:
             raise SearchSpaceTooLarge(
                 "intermediate transversal family exceeds the cap of "
