@@ -374,10 +374,10 @@ def _available_cpus() -> int:
 
 
 def _dispatch_order(work) -> list[int]:
-    """Indices of the work items, most edges first.  The oracles grow
-    with the edge count (sum(m) - (r - 1) + t), so the pool's
-    last chunks are its cheapest and the workers finish together, instead
-    of one running the largest instance while the other waits."""
+    """Indices of the work items, most edges first.  The oracles grow with
+    the edge count (sum(m) - (r - 1) + t), so the pool's last chunks are
+    its cheapest and the workers finish together, instead of one running
+    the largest instance while the other waits."""
     return sorted(
         range(len(work)),
         key=lambda i: sum(work[i][1]) - (work[i][0] - 1) + work[i][2],
