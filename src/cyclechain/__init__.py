@@ -9,6 +9,7 @@ that cross-checks them.
 """
 
 from .chain_graph import (
+    MAX_GROUND,
     ChainGraph,
     CompositeCycle,
     all_cycles,
@@ -18,7 +19,6 @@ from .chain_graph import (
     intersection_formula,
     intersection_report,
 )
-from .edgeset import MAX_GROUND, EdgeSet
 from .errors import (
     BadAttachment,
     CapacityExceeded,

@@ -28,8 +28,11 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .edgeset import MAX_GROUND, EdgeSet
 from .errors import BadAttachment, CapacityExceeded, IndexOutOfRange, InvalidLength
+
+# Edge sets are int bitmasks, which have no fixed width: the cap is the most
+# edges build_chain_graph accepts, and so the most variables of any ideal.
+MAX_GROUND = 64
 
 
 class ChainGraph:
@@ -118,9 +121,6 @@ class ChainGraph:
     @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
-
-    def edge_set(self, mask: int) -> EdgeSet:
-        return EdgeSet(mask, self.n)
 
 
 def _is_int(x) -> bool:
@@ -226,11 +226,11 @@ def build_chain_graph(r: int, m, forest=0) -> ChainGraph:
 
 @dataclass(frozen=True)
 class CompositeCycle:
-    """Cycle C_{start,...,start+span} of the chain (span = 0 is simple)."""
+    """Cycle C_{start,...,start+span} (span = 0 is simple) and its edge bitmask."""
 
     start: int
     span: int
-    edges: EdgeSet
+    edges: int
 
 
 def _check_range(g: ChainGraph, i: int, k: int) -> None:
@@ -244,7 +244,7 @@ def composite_cycle(g: ChainGraph, i: int, k: int) -> CompositeCycle:
     mask = 0
     for a in range(i, i + k + 1):
         mask ^= g.simple_cycle_masks[a - 1]
-    return CompositeCycle(i, k, g.edge_set(mask))
+    return CompositeCycle(i, k, mask)
 
 
 def composite_length(g: ChainGraph, i: int, k: int) -> int:
@@ -315,7 +315,7 @@ def intersection_report(g: ChainGraph) -> list[PairComparison]:
             PairComparison(
                 (a.start, a.span),
                 (b.start, b.span),
-                len(a.edges & b.edges),
+                (a.edges & b.edges).bit_count(),
                 predicted,
                 row,
             )

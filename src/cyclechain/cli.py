@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 
 from . import hilbert, ideal, oracle, simplicial, spanning, verify
@@ -54,12 +55,20 @@ def _reads_input(parse):
     return wrapper
 
 
+def integer(text: str) -> int:
+    """An optional '-' and ASCII digits as an int; ValueError for anything
+    else int() would coerce, such as '1_0', ' 3', '+3' or non-ASCII digits."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
 def _graph_flags() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--spec", metavar="FILE", help="JSON graph spec file")
-    p.add_argument("--r", type=int, help="number of cycles")
+    p.add_argument("--r", type=integer, help="number of cycles")
     p.add_argument("--m", help="comma-separated cycle lengths")
-    p.add_argument("--t", type=int, help="forest edge count (default 0)")
+    p.add_argument("--t", type=integer, help="forest edge count (default 0)")
     p.add_argument(
         "--pretty", action="store_true", help="human-readable table instead of JSON"
     )
@@ -94,7 +103,7 @@ def _graph_args(args) -> tuple:
         return data["r"], data["m"], forest_arg
     if args.r is None or args.m is None:
         raise ValueError("provide --spec FILE or both --r and --m")
-    m = [int(x) for x in args.m.split(",")]
+    m = [integer(x) for x in args.m.split(",")]
     return args.r, m, args.t if args.t is not None else 0
 
 
@@ -139,7 +148,7 @@ def cmd_cycles(args) -> int:
             {
                 "start": c.start,
                 "span": c.span,
-                "length": len(c.edges),
+                "length": c.edges.bit_count(),
                 "edges": labels_of(g, c.edges),
             }
             for c in cycles
@@ -170,7 +179,7 @@ def cmd_trees(args) -> int:
             tag: tags.count(tag) for tag in spanning.CLASS_TAGS if tag in tags
         }
         obj["removals"] = [
-            {"class": tag, "removed": labels_of(g, s.complement())}
+            {"class": tag, "removed": labels_of(g, g.full_mask ^ s)}
             for s, tag in zip(trees, tags)
         ]
         lines += [f"  {tag}: {cnt}" for tag, cnt in obj["by_class"].items()]
@@ -254,7 +263,7 @@ def cmd_decompose(args) -> int:
     # comparison below fails on a wrong listing.
     g = _load_graph(args)
     trees = oracle.spanning_tree_masks(g.endpoints, g.num_vertices)
-    covers = [g.edge_set(m) for m in oracle.minimal_hitting_sets(trees)]
+    covers = oracle.minimal_hitting_sets(trees)
     met = ideal.intersect_primes(covers)
     equal = met == ideal.facet_ideal(simplicial.spanning_complex(g))
     obj = {
@@ -275,10 +284,9 @@ def cmd_certify(args) -> int:
     fi = ideal.facet_ideal(simplicial.spanning_complex(g))
     cert = ideal.cohen_macaulay_verdict(g, fi)
     replayed = ideal.replay_certificate(fi, cert)
-    full = g.edge_set(g.full_mask)
     obj = {
         "steps": len(cert.ordering),
-        "ordering": [labels_of(g, full ^ fi[i]) for i in cert.ordering],
+        "ordering": [labels_of(g, g.full_mask ^ fi[i]) for i in cert.ordering],
         "ordering_indices": list(cert.ordering),
         "witnesses": [g.labels[v] for v in cert.witnesses],
         "replayed": replayed,
@@ -298,7 +306,7 @@ def _parse_family(text: str) -> tuple[int, int, int]:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError("--family expects rmax,mmax,tmax")
-    rmax, mmax, tmax = int(parts[0]), int(parts[1]), int(parts[2])
+    rmax, mmax, tmax = map(integer, parts)
     verify.check_family_bounds(rmax, mmax, tmax)
     return rmax, mmax, tmax
 
@@ -393,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fvector)
 
     p = sub.add_parser("hilbert", parents=[gf], help="Hilbert series of the face ring")
-    p.add_argument("--expand", type=int, default=10, metavar="N")
+    p.add_argument("--expand", type=integer, default=10, metavar="N")
     p.set_defaults(func=cmd_hilbert)
 
     p = sub.add_parser("covers", parents=[gf], help="minimal vertex covers")
@@ -410,9 +418,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[gf], help="run oracle cross-checks")
     p.add_argument("--family", metavar="R,M,T", help="verify the whole family")
     p.add_argument("--checks", help="comma-separated subset of checks")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--tree-cap", type=int, default=10**6)
-    p.add_argument("--face-cap", type=int, default=1 << 24)
+    p.add_argument("--jobs", type=integer, default=1)
+    p.add_argument("--tree-cap", type=integer, default=10**6)
+    p.add_argument("--face-cap", type=integer, default=1 << 24)
     p.set_defaults(func=cmd_verify)
     return top
 

@@ -1,9 +1,9 @@
 """Facet ideal of the spanning complex: covers, decomposition, colon steps.
 
-Square-free monomials are EdgeSet supports throughout, and a square-free
-monomial ideal is its minimal generating system, which is unique: a plain
-tuple of EdgeSets in (size, mask) order, all on the ground of the
-variables.  Ideal arithmetic is then bitmask arithmetic:
+A square-free monomial is the int bitmask of its support, one bit per
+edge variable, and a square-free monomial ideal is its minimal generating
+system, which is unique: a plain tuple of such ints in (popcount, mask)
+order.  Ideal arithmetic is then bitmask arithmetic:
 
   * membership: m is in I iff some generator's support is a subset of m's;
   * colon by a square-free monomial: generator supports minus the monomial's;
@@ -39,39 +39,37 @@ import itertools
 from dataclasses import dataclass
 
 from .chain_graph import ChainGraph
-from .edgeset import EdgeSet
 from .errors import CapacityExceeded, CertificateFails, EmptyIdeal
 from .simplicial import SimplicialComplex
 from . import oracle
 
 
-def facet_ideal(c: SimplicialComplex) -> tuple[EdgeSet, ...]:
+def facet_ideal(c: SimplicialComplex) -> tuple[int, ...]:
     """Generators are the facets, read as square-free supports.
 
     The complex has already rejected duplicate facets and facets of mixed
     sizes, so no facet divides another and the facets are a minimal
     generating system as they stand; they only need the (size, mask) order.
     """
-    return tuple(sorted(c.facets, key=lambda f: (len(f), f.mask)))
+    return tuple(sorted(c.facets, key=lambda f: (f.bit_count(), f)))
 
 
-def minimal_vertex_covers_oracle(c: SimplicialComplex) -> list[EdgeSet]:
+def minimal_vertex_covers_oracle(c: SimplicialComplex) -> list[int]:
     """All minimal covers by exhaustive transversal search (oracle route)."""
-    masks = oracle.minimal_hitting_sets([f.mask for f in c.facets])
-    return [EdgeSet(m, c.ground_size) for m in masks]
+    return oracle.minimal_hitting_sets(c.facets)
 
 
-def covers_lemma41(g: ChainGraph) -> list[EdgeSet]:
+def covers_lemma41(g: ChainGraph) -> list[int]:
     """The predicted minimal covers, straight from the own edges.
 
     Every forest edge is a singleton cover; inside each cycle, any two
     distinct own edges (the edges on that cycle alone) form one.
     """
-    covers = [g.edge_set(1 << e) for e in range(g.n - g.t, g.n)]
+    covers = [1 << e for e in range(g.n - g.t, g.n)]
     for own in g.own_masks:
         for a, b in itertools.combinations(_bits(own), 2):
-            covers.append(g.edge_set(1 << a | 1 << b))
-    covers.sort(key=lambda s: (len(s), s.mask))
+            covers.append(1 << a | 1 << b)
+    covers.sort(key=lambda s: (s.bit_count(), s))
     return covers
 
 
@@ -94,11 +92,10 @@ def _fold_prime(cur: list[int], prime: int) -> list[int]:
     return kept + grown
 
 
-def intersect_primes(primes, *, cap: int = 10**6) -> tuple[EdgeSet, ...]:
-    """Intersection of variable primes, each given by the EdgeSet of its
-    variables, as the minimal generators of a square-free monomial ideal
-    over the primes' ground; EmptyIdeal for no primes, ValueError for a
-    prime without variables.
+def intersect_primes(primes, *, cap: int = 10**6) -> tuple[int, ...]:
+    """Intersection of variable primes, each given by the bitmask of its
+    variables, as the minimal generators of a square-free monomial ideal;
+    EmptyIdeal for no primes, ValueError for a prime without variables.
 
     Folds one prime P in at a time, keeping the family minimal.  A
     generator k that meets P stays, and every product of it is a multiple
@@ -116,18 +113,19 @@ def intersect_primes(primes, *, cap: int = 10**6) -> tuple[EdgeSet, ...]:
         raise EmptyIdeal("cannot intersect an empty list of primes")
     if not all(primes):
         raise ValueError("a variable prime needs at least one variable")
-    cur = [1 << v for v in primes[0]]
+    cur = [1 << v for v in _bits(primes[0])]
     for p in primes[1:]:
-        if len(cur) * len(p) > cap:
+        products = len(cur) * p.bit_count()
+        if products > cap:
             raise CapacityExceeded(
-                f"prime intersection step would form {len(cur) * len(p)} products"
+                f"prime intersection step would form {products} products"
             )
-        cur = _fold_prime(cur, p.mask)
+        cur = _fold_prime(cur, p)
     cur.sort(key=lambda m: (m.bit_count(), m))
-    return tuple(EdgeSet(m, primes[0].ground) for m in cur)
+    return tuple(cur)
 
 
-def colon_mindeg(gens, m: EdgeSet) -> tuple[int, tuple[EdgeSet, ...]]:
+def colon_mindeg(gens, m: int) -> tuple[int, tuple[int, ...]]:
     """Minimum generator degree of (I : m), with the witnesses, for the
     ideal I that gens generate.
 
@@ -139,12 +137,9 @@ def colon_mindeg(gens, m: EdgeSet) -> tuple[int, tuple[EdgeSet, ...]]:
     """
     if not gens:
         raise EmptyIdeal("colon of the zero ideal has no generators")
-    diffs = [(gen - m) for gen in gens]
-    mindeg = min(len(d) for d in diffs)
-    witnesses = sorted(
-        {d.mask for d in diffs if len(d) == mindeg}
-    )
-    return mindeg, tuple(EdgeSet(w, m.ground) for w in witnesses)
+    diffs = [gen & ~m for gen in gens]
+    mindeg = min(d.bit_count() for d in diffs)
+    return mindeg, tuple(sorted({d for d in diffs if d.bit_count() == mindeg}))
 
 
 def paper_ordering(g: ChainGraph, gens) -> list[int]:
@@ -172,7 +167,7 @@ def paper_ordering(g: ChainGraph, gens) -> list[int]:
                 break
         return 1 if run == g.r - 1 else g.r - run
 
-    removals = [g.full_mask ^ gen.mask for gen in gens]
+    removals = [g.full_mask ^ gen for gen in gens]
     return sorted(
         range(len(removals)),
         key=lambda i: (block(removals[i]), _bits(removals[i])),
@@ -197,12 +192,12 @@ def _bits(mask: int) -> list[int]:
 
 
 def _exchange_witness(
-    position: dict[int, int], m: int, p: int, ground: int
+    position: dict[int, int], m: int, p: int, width: int
 ) -> int | None:
-    """Smallest y outside m such that m - x + y, for some x in m, is a
-    generator placed before position p; None when no exchange hits."""
+    """Smallest y < width outside m such that m - x + y, for some x in m,
+    is a generator placed before position p; None when no exchange hits."""
     inside = _bits(m)
-    for y in range(ground):
+    for y in range(width):
         if not m >> y & 1:
             grown = m | 1 << y
             if any(position.get(grown ^ 1 << x, p) < p for x in inside):
@@ -211,7 +206,7 @@ def _exchange_witness(
 
 
 def _require_one_degree(gens) -> None:
-    if len({len(g) for g in gens}) > 1:
+    if len({g.bit_count() for g in gens}) > 1:
         raise ValueError("the certificate needs generators of one degree")
 
 
@@ -226,9 +221,10 @@ def quasi_linear_certificate(gens, ordering) -> QuotientCertificate:
     Distinct generators of one degree never nest, so the colon has mindeg
     1 exactly when an exchange m_p - x + y is an earlier generator, and
     its smallest witness is the smallest such y.  Each step tries y
-    ascending and x over m_p against a dict of positions, about
-    |m_p| (n - |m_p|) lookups.  Only a step with no hit runs colon_mindeg
-    on the earlier generators, to report its true mindeg.
+    ascending below the generators' highest variable (a y outside every
+    generator cannot be a witness) and x over m_p against a dict of
+    positions.  Only a step with no hit runs colon_mindeg on the earlier
+    generators, to report its true mindeg.
     """
     ordering = tuple(ordering)
     if sorted(ordering) != list(range(len(gens))):
@@ -236,11 +232,12 @@ def quasi_linear_certificate(gens, ordering) -> QuotientCertificate:
     if not gens:
         raise EmptyIdeal("certificate needs at least one generator")
     _require_one_degree(gens)
-    masks = [gens[i].mask for i in ordering]
+    masks = [gens[i] for i in ordering]
     position = {m: p for p, m in enumerate(masks)}
+    width = max(masks).bit_length()  # that of the union of the generators
     witnesses: list[int] = []
     for p in range(1, len(masks)):
-        var = _exchange_witness(position, masks[p], p, gens[0].ground)
+        var = _exchange_witness(position, masks[p], p, width)
         if var is None:
             earlier = [gens[i] for i in ordering[:p]]
             raise CertificateFails(p + 1, colon_mindeg(earlier, gens[ordering[p]])[0])
@@ -261,7 +258,7 @@ def replay_certificate(gens, cert: QuotientCertificate) -> bool:
     if sorted(cert.ordering) != list(range(len(gens))):
         return False
     _require_one_degree(gens)
-    masks = [gens[i].mask for i in cert.ordering]
+    masks = [gens[i] for i in cert.ordering]
     position = {m: p for p, m in enumerate(masks)}
     for p in range(1, len(masks)):
         target = masks[p] | 1 << cert.witnesses[p - 1]

@@ -1,7 +1,7 @@
 """Spanning simplicial complex of a chain graph and its f-vector.
 
-The facets are the spanning trees, so the faces are exactly the edge sets
-that contain no cycle.  An f-vector is a tuple f, where f[i] counts the
+The facets are the spanning trees (int bitmasks), so the faces are the edge
+sets that contain no cycle.  An f-vector is a tuple f, where f[i] counts the
 faces of size i+1 (the empty face is left out).  It is computed three ways:
 
   * f_vector_bruteforce: count the faces of the facet downset through the
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 from . import oracle
 from .chain_graph import ChainGraph, all_cycles, composite_length, intersection_formula
-from .edgeset import EdgeSet
 from .errors import IndexOutOfRange, SearchSpaceTooLarge
 from .spanning import enumerate_trees_characterized
 from .util import binom
@@ -38,34 +37,33 @@ MAX_CYCLE_SUBSETS = 21
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """A pure complex given by its facets, all of one size.
+    """A pure complex given by its facets, all of one size: bitmasks over
+    the edge indices 0..ground_size-1.
 
     Facets of mixed sizes are rejected, so no facet can contain another
     and the facets are the complex's maximal faces as they stand.
     """
 
     ground_size: int
-    facets: tuple[EdgeSet, ...]
+    facets: tuple[int, ...]
 
     def __post_init__(self):
         if not self.facets:
             raise ValueError("a complex needs at least one facet")
-        size = len(self.facets[0])
-        seen: set[int] = set()
+        size = self.facets[0].bit_count()
         for f in self.facets:
-            if f.ground != self.ground_size:
+            if f < 0 or f >> self.ground_size:
                 raise ValueError(
-                    f"facet ground {f.ground} != complex ground {self.ground_size}"
+                    f"facet {f:#x} has bits outside ground size {self.ground_size}"
                 )
-            if len(f) != size:
-                raise ValueError(f"facet {f} has size {len(f)}, not {size}")
-            if f.mask in seen:
-                raise ValueError(f"duplicate facet {f}")
-            seen.add(f.mask)
+            if f.bit_count() != size:
+                raise ValueError(f"facet {f:#x} has size {f.bit_count()}, not {size}")
+        if len(set(self.facets)) < len(self.facets):
+            raise ValueError("duplicate facets")
 
     @property
     def dim(self) -> int:
-        return len(self.facets[0]) - 1
+        return self.facets[0].bit_count() - 1
 
 
 def spanning_complex(g: ChainGraph) -> SimplicialComplex:
@@ -74,7 +72,7 @@ def spanning_complex(g: ChainGraph) -> SimplicialComplex:
 
 
 def f_vector_bruteforce(c: SimplicialComplex) -> tuple[int, ...]:
-    return tuple(oracle.downset_face_counts([f.mask for f in c.facets]))
+    return tuple(oracle.downset_face_counts(c.facets))
 
 
 def _check_subset_cap(g: ChainGraph) -> None:
@@ -117,7 +115,7 @@ def f_vector_exact(g: ChainGraph) -> tuple[int, ...]:
     A size-(i+1) edge set is a face iff it contains no cycle, so
     f_i = sum over cycle subsets S of (-1)^|S| C(n - |union S|, i+1 - |union S|).
     """
-    masks = (c.edges.mask for c in all_cycles(g))
+    masks = (c.edges for c in all_cycles(g))
     return _fold_cycle_subsets(
         g, 0, masks, lambda union, mask: (union, union | mask), int.bit_count
     )
@@ -161,13 +159,13 @@ def f_vector_pairwise_form(g: ChainGraph) -> tuple[int, ...]:
     Folding in (start, span) order holds fewer keys than the (span, start)
     order of all_cycles: at most 16,329 against 59,835 on (6, [3,3,4,4,5,5], 0).
     """
-    cycles = sorted(all_cycles(g), key=lambda c: c.start)
+    masks = [c.edges for c in sorted(all_cycles(g), key=lambda c: c.start)]
     later = (
-        (len(c.edges), [len(c.edges & d.edges) for d in cycles[k + 1 :]])
-        for k, c in enumerate(cycles)
+        (a.bit_count(), [(a & b).bit_count() for b in masks[k + 1 :]])
+        for k, a in enumerate(masks)
     )
     return _fold_cycle_subsets(
-        g, (0, (0,) * len(cycles)), later, _take_pairwise, lambda key: key[0]
+        g, (0, (0,) * len(masks)), later, _take_pairwise, lambda key: key[0]
     )
 
 

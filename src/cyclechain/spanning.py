@@ -32,16 +32,15 @@ The class is keyed on the set of removed shared edges decomposed into
 maximal consecutive runs; each run merges its cycles into one block, and
 every untouched cycle is a block of its own.
 
-The listing is the trees themselves, a tuple of EdgeSets; a tree's
-removal set is its complement, and removal_class(g, tree) reads its class
-off the shared edges the tree leaves out.  Distinct removal sets leave
-distinct trees; the test suite holds the listing to set equality with
-the brute-force enumeration and to the determinant count.
+The listing is the trees themselves, a tuple of int edge bitmasks; a
+tree's removal set is its complement, and removal_class(g, tree) reads
+its class off the shared edges the tree leaves out.  Distinct removal
+sets leave distinct trees; the test suite holds the listing to set
+equality with the brute-force enumeration and to the determinant count.
 """
 
 from . import oracle
 from .chain_graph import ChainGraph
-from .edgeset import EdgeSet
 
 CLASS_TAGS = ("C1", "C2", "C3a", "C3b", "C3c")
 
@@ -68,17 +67,17 @@ def _classify(num_removed_commons: int, runs: list[tuple[int, int]]) -> str:
     return "C3c"
 
 
-def removal_class(g: ChainGraph, tree: EdgeSet) -> str:
+def removal_class(g: ChainGraph, tree: int) -> str:
     """The class tag of the tree's removal set, read off the shared edges
     the tree leaves out."""
     removed_js = [
-        j for j, i in enumerate(g.common_edge_indices, start=1) if i not in tree
+        j for j, i in enumerate(g.common_edge_indices, start=1) if not tree >> i & 1
     ]
     return _classify(len(removed_js), _consecutive_runs(removed_js))
 
 
-def enumerate_trees_characterized(g: ChainGraph) -> tuple[EdgeSet, ...]:
-    """All spanning trees in ascending bitmask order, from the walk over
+def enumerate_trees_characterized(g: ChainGraph) -> tuple[int, ...]:
+    """All spanning trees as edge bitmasks, ascending, from the walk over
     the cycles."""
     unpicked, picked = [0], []
     for j, own in enumerate(g.own_masks):
@@ -88,12 +87,11 @@ def enumerate_trees_characterized(g: ChainGraph) -> tuple[EdgeSet, ...]:
                 [m | s for m in unpicked] + picked,
                 [m | s for m in picked],
             )
-        own_edges = [1 << e for e in g.edge_set(own)]
+        own_edges = [1 << e for e in range(g.n) if own >> e & 1]
         picked += [m | e for m in unpicked for e in own_edges]
 
     picked.sort(reverse=True)  # ascending kept edges
-    full = g.full_mask
-    return tuple(g.edge_set(full ^ m) for m in picked)
+    return tuple(g.full_mask ^ m for m in picked)
 
 
 def count_trees_characterized(g: ChainGraph) -> int:

@@ -41,7 +41,6 @@ from dataclasses import dataclass
 
 from . import hilbert, ideal, oracle, simplicial, spanning
 from .chain_graph import ChainGraph, build_chain_graph, intersection_report
-from .edgeset import EdgeSet
 from .errors import CertificateFails, SearchSpaceTooLarge
 
 CHECK_NAMES = (
@@ -92,8 +91,8 @@ class OracleReport:
         }
 
 
-def labels_of(g: ChainGraph, s: EdgeSet) -> list[str]:
-    return [g.labels[i] for i in s]
+def labels_of(g: ChainGraph, mask: int) -> list[str]:
+    return [g.labels[i] for i in ideal._bits(mask)]
 
 
 def _set_diff_detail(g, left_name, left, right_name, right):
@@ -105,7 +104,7 @@ def _set_diff_detail(g, left_name, left, right_name, right):
     return {
         left_name: len(left),
         right_name: len(right),
-        "witness": labels_of(g, g.edge_set(witness)),
+        "witness": labels_of(g, witness),
         "witness_only_in": side,
     }
 
@@ -137,7 +136,7 @@ class _Context:
             raise error
         return value
 
-    def facet_ideal(self) -> tuple[EdgeSet, ...]:
+    def facet_ideal(self) -> tuple[int, ...]:
         """The facet ideal of the production complex: its generators are
         the listed trees.  The trees are counted first, in O(r), and none
         is listed when they number more than the tree cap."""
@@ -175,21 +174,17 @@ class _Context:
             ),
         )
 
-    def oracle_covers(self) -> list[EdgeSet]:
+    def oracle_covers(self) -> list[int]:
         """The minimal vertex covers of the brute-force trees, by exhaustive
         transversal search."""
         return self._once(
-            "covers",
-            lambda: [
-                self.g.edge_set(m)
-                for m in oracle.minimal_hitting_sets(self.oracle_trees())
-            ],
+            "covers", lambda: oracle.minimal_hitting_sets(self.oracle_trees())
         )
 
 
 def _check_trees(g, ctx):
     ref = set(ctx.oracle_trees())  # over its cap, skip before listing
-    mine = {f.mask for f in ctx.facet_ideal()}
+    mine = set(ctx.facet_ideal())
     if mine == ref:
         return "match", None
     return "mismatch", _set_diff_detail(g, "characterized", mine, "oracle", ref)
@@ -229,16 +224,16 @@ def _check_hilbert(g, ctx):
 
 
 def _check_covers(g, ctx):
-    mine = {s.mask for s in ideal.covers_lemma41(g)}
-    ref = {s.mask for s in ctx.oracle_covers()}
+    mine = set(ideal.covers_lemma41(g))
+    ref = set(ctx.oracle_covers())
     if mine == ref:
         return "match", None
     return "mismatch", _set_diff_detail(g, "predicted", mine, "oracle", ref)
 
 
 def _check_decomposition(g, ctx):
-    mine = {s.mask for s in ideal.intersect_primes(ctx.oracle_covers())}
-    ref = {s.mask for s in ctx.facet_ideal()}
+    mine = set(ideal.intersect_primes(ctx.oracle_covers()))
+    ref = set(ctx.facet_ideal())
     if mine == ref:
         return "match", None
     return "mismatch", _set_diff_detail(g, "intersection", mine, "facet_ideal", ref)

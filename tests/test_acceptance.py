@@ -1,7 +1,7 @@
 """Acceptance gate: one test per criterion, frozen expected values.
 
 Criteria 1 and 2 carry wall-clock budgets, so they time themselves.
-Criterion 7 runs five generated-input property suites at 100+ cases each
+Criterion 7 runs four generated-input property suites at 100+ cases each
 with a fixed seed; the hypothesis suites in the per-module test files
 cover the same laws with shrinking on top.
 """
@@ -35,7 +35,6 @@ from cyclechain import (
     spanning_complex,
     verify_instance,
 )
-from cyclechain.edgeset import EdgeSet
 from cyclechain.oracle import (
     bareiss_determinant,
     minimal_hitting_sets,
@@ -65,13 +64,13 @@ def test_criterion_1_example_instance_battery(fig1):
     assert fig1.n == 10 and fig1.num_vertices == 9
     cycles = all_cycles(fig1)
     assert len(cycles) == 3
-    assert sorted(len(c.edges) for c in cycles) == [3, 4, 5]
+    assert sorted(c.edges.bit_count() for c in cycles) == [3, 4, 5]
     assert spanning_complex(fig1).dim == 7
 
     trees = enumerate_trees_characterized(fig1)
     assert len(trees) == 11
     assert Counter(removal_class(fig1, tree) for tree in trees) == {"C1": 6, "C2": 5}
-    assert {tree.mask for tree in trees} == _oracle_masks(fig1)
+    assert set(trees) == _oracle_masks(fig1)
     assert count_trees_kirchhoff(fig1) == 11
 
     fv = f_vector_exact(fig1)
@@ -100,10 +99,10 @@ def test_criterion_2_tree_enumeration_matches_oracle_family_wide():
     for r, m, t in FAMILY:
         g = build_chain_graph(r, m, t)
         trees = enumerate_trees_characterized(g)
-        assert {tree.mask for tree in trees} == _oracle_masks(g), (r, m, t)
+        assert set(trees) == _oracle_masks(g), (r, m, t)
         assert len(trees) == count_trees_kirchhoff(g), (r, m, t)
         for tree in trees:
-            assert len(tree) == g.n - r
+            assert tree.bit_count() == g.n - r
     assert time.perf_counter() - started < 120.0
 
 
@@ -134,12 +133,12 @@ def test_criterion_5_cover_decomposition_and_reported_gap():
     # tests the listing behind facet_ideal
     for g in SMALL:
         trees = spanning_tree_masks(g.endpoints, g.num_vertices)
-        covers = [g.edge_set(m) for m in minimal_hitting_sets(trees)]
+        covers = minimal_hitting_sets(trees)
         assert intersect_primes(covers) == facet_ideal(spanning_complex(g)), (
             g.r, g.m, g.t,
         )
-        lemma_masks = {s.mask for s in covers_lemma41(g)}
-        oracle_masks = {s.mask for s in covers}
+        lemma_masks = set(covers_lemma41(g))
+        oracle_masks = set(covers)
         assert lemma_masks <= oracle_masks, (g.r, g.m, g.t)
         assert (lemma_masks == oracle_masks) == (g.r == 1), (g.r, g.m, g.t)
 
@@ -183,22 +182,6 @@ def test_criterion_7_property_suites():
         if 0 <= b <= a:
             assert binom(a, b) == binom(a, a - b)
 
-    # edge-set algebra
-    for _ in range(N_CASES):
-        ground = rng.randint(1, 16)
-        full = (1 << ground) - 1
-        x = EdgeSet(rng.randint(0, full), ground)
-        y = EdgeSet(rng.randint(0, full), ground)
-        assert (x | y).mask == x.mask | y.mask
-        assert (x & y).mask == x.mask & y.mask
-        assert (x - y).mask == x.mask & ~y.mask
-        assert (x | y).complement() == x.complement() & y.complement()
-        assert x.issubset(y) == (len(x - y) == 0)
-        assert (not (x & y)) == (len(x & y) == 0)
-        assert (x ^ y) == (x | y) - (x & y)
-        assert len(x) == x.mask.bit_count()
-        assert list(x) == sorted(x)
-
     # determinant: cofactor reference and row-order invariance
     def reference(mat):
         if len(mat) == 1:
@@ -231,16 +214,16 @@ def test_criterion_7_property_suites():
             assert all(s & f for f in c.facets)
         for s in covers:
             for s2 in covers:
-                assert s == s2 or not s.issubset(s2)
+                assert s == s2 or s & s2 != s
 
     # colon degree zero exactly on members
     for _ in range(N_CASES):
         ground = rng.randint(3, 12)
         full = (1 << ground) - 1
-        gens = [EdgeSet(rng.randint(1, full), ground) for _ in range(rng.randint(1, 6))]
-        m = EdgeSet(rng.randint(0, full), ground)
+        gens = [rng.randint(1, full) for _ in range(rng.randint(1, 6))]
+        m = rng.randint(0, full)
         deg, witnesses = colon_mindeg(gens, m)
-        assert (deg == 0) == any(gen.issubset(m) for gen in gens)
+        assert (deg == 0) == any(gen & m == gen for gen in gens)
         for w in witnesses:
-            assert len(w) == deg
-            assert any(gen.issubset(m | w) for gen in gens)
+            assert w.bit_count() == deg
+            assert any(gen & (m | w) == gen for gen in gens)

@@ -136,7 +136,7 @@ def test_composite_cycles_example(fig1):
     lengths = [composite_length(fig1, c.start, c.span) for c in cs]
     assert lengths == [3, 4, 5]
     big = composite_cycle(fig1, 1, 1)
-    assert tuple(big.edges) == (1, 2, 3, 4, 5)
+    assert big.edges == 0b111110
 
 
 def test_composite_is_xor_of_simple_masks(chain3):
@@ -144,8 +144,8 @@ def test_composite_is_xor_of_simple_masks(chain3):
         acc = 0
         for j in range(c.start - 1, c.start + c.span):
             acc ^= chain3.simple_cycle_masks[j]
-        assert c.edges.mask == acc
-        assert len(c.edges) == composite_length(chain3, c.start, c.span)
+        assert c.edges == acc
+        assert c.edges.bit_count() == composite_length(chain3, c.start, c.span)
 
 
 def test_composite_range_validation(fig1):
@@ -158,7 +158,7 @@ def test_composite_range_validation(fig1):
 
 
 def test_composite_lengths_r3(chain3):
-    assert sorted(len(c.edges) for c in all_cycles(chain3)) == [3, 3, 3, 4, 4, 5]
+    assert sorted(c.edges.bit_count() for c in all_cycles(chain3)) == [3, 3, 3, 4, 4, 5]
 
 
 def test_intersection_formula_matches_exact(small_instances):
@@ -178,4 +178,4 @@ def test_intersection_report_shape():
     cs = all_cycles(g)
     a, b = cs[0], cs[1]
     predicted, _ = intersection_formula(g, a, b)
-    assert predicted == len(a.edges & b.edges)
+    assert predicted == (a.edges & b.edges).bit_count()

@@ -313,6 +313,43 @@ def test_unreadable_arguments_exit_2(capsys):
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+# Each spelling int() accepts, with the value it would coerce it to.
+_COERCIBLE = {"1_0": 10, "\u0663": 3, " 3": 3}
+
+
+@pytest.mark.parametrize("text", sorted(_COERCIBLE))
+@pytest.mark.parametrize(
+    "flag",
+    [
+        "--r", "--m", "--m item", "--t", "--expand", "--jobs", "--tree-cap",
+        "--face-cap", "--family",
+    ],
+)
+def test_integer_flags_are_rejected_not_coerced(capsys, text, flag):
+    # every argv is valid with the coerced value in place of text
+    value = _COERCIBLE[text]
+    one = ("--r", "1", "--m", "3")
+    argv = {
+        "--r": ("gen", "--r", text, "--m", ",".join(["3"] * value)),
+        "--m": ("gen", "--r", "1", "--m", text),
+        "--m item": ("gen", "--r", "2", "--m", f"3,{text}"),
+        "--t": ("gen", *one, "--t", text),
+        "--expand": ("hilbert", *one, "--expand", text),
+        "--jobs": ("verify", *one, "--jobs", text),
+        "--tree-cap": ("verify", *one, "--tree-cap", text),
+        "--face-cap": ("verify", *one, "--face-cap", text),
+        "--family": ("verify", "--family", f"1,{text},0"),
+    }[flag]
+    try:
+        code = main(list(argv))
+    except SystemExit as e:  # argparse's own rejection
+        code = e.code
+    out, err = capsys.readouterr()
+    assert code == 2, argv
+    assert out == ""
+    assert "invalid integer" in err
+
+
 def test_zero_caps_skip_the_capped_oracles(capsys):
     code, obj, _ = run_json(
         capsys, "verify", "--r", "1", "--m", "4", "--t", "1",

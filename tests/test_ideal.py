@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -16,52 +18,63 @@ from cyclechain import (
     family_instances,
     intersect_primes,
     minimal_vertex_covers_oracle,
+    oracle,
     paper_ordering,
     quasi_linear_certificate,
     replay_certificate,
     spanning_complex,
 )
-from cyclechain.edgeset import EdgeSet
 
 
-def _ideal(ground, *supports):
+def _mask(indices):
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
+
+
+def _indices(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _ideal(*supports):
     """The generators of the given supports, in (size, mask) order."""
-    gens = [EdgeSet.of(s, ground) for s in supports]
-    return tuple(sorted(gens, key=lambda s: (len(s), s.mask)))
+    gens = [_mask(s) for s in supports]
+    return tuple(sorted(gens, key=lambda s: (s.bit_count(), s)))
 
 
 def _contains(gens, m):
-    return any(gen.issubset(m) for gen in gens)
+    return any(gen & m == gen for gen in gens)
 
 
-def _prime(ground, *vars_):
-    return EdgeSet.of(vars_, ground)
+def _prime(*vars_):
+    return _mask(vars_)
 
 
 def _labels(g, s):
-    return [g.labels[i] for i in s]
+    return [g.labels[i] for i in _indices(s)]
 
 
 def test_variable_prime_must_be_nonempty():
     with pytest.raises(ValueError, match="at least one variable"):
-        intersect_primes([_prime(3, 0), EdgeSet(0, 3)])
+        intersect_primes([_prime(0), 0])
 
 
 def test_facet_ideal(triangle):
     gens = facet_ideal(spanning_complex(triangle))
-    assert [s.mask for s in gens] == [0b011, 0b101, 0b110]
+    assert list(gens) == [0b011, 0b101, 0b110]
 
 
 def test_prime_intersection_small():
-    meet = intersect_primes([_prime(3, 0, 1), _prime(3, 1, 2)])
-    assert meet == (EdgeSet(0b010, 3), EdgeSet(0b101, 3))
-    assert intersect_primes([_prime(3, 2)]) == (EdgeSet(0b100, 3),)
+    meet = intersect_primes([_prime(0, 1), _prime(1, 2)])
+    assert meet == (0b010, 0b101)
+    assert intersect_primes([_prime(2)]) == (0b100,)
     with pytest.raises(EmptyIdeal):
         intersect_primes([])
     with pytest.raises(CapacityExceeded):
-        intersect_primes([_prime(4, 0, 1), _prime(4, 2, 3)], cap=1)
+        intersect_primes([_prime(0, 1), _prime(2, 3)], cap=1)
     with pytest.raises(TypeError):
-        intersect_primes([_prime(4, 0, 1), _prime(4, 2, 3)], 4)
+        intersect_primes([_prime(0, 1), _prime(2, 3)], 4)
 
 
 def _reference_intersection(primes, cap, formed=None):
@@ -76,15 +89,16 @@ def _reference_intersection(primes, cap, formed=None):
                 keep.append(m)
         return keep
 
-    cur = [1 << v for v in primes[0]]
+    cur = [1 << v for v in _indices(primes[0])]
     for p in primes[1:]:
+        products = len(cur) * p.bit_count()
         if formed is not None:
-            formed.append(len(cur) * len(p))
-        if len(cur) * len(p) > cap:
+            formed.append(products)
+        if products > cap:
             raise CapacityExceeded(
-                f"prime intersection step would form {len(cur) * len(p)} products"
+                f"prime intersection step would form {products} products"
             )
-        cur = minimalize(m | 1 << v for m in cur for v in p)
+        cur = minimalize(m | 1 << v for m in cur for v in _indices(p))
     return cur
 
 
@@ -98,14 +112,14 @@ def _step_products(primes):
 def _assert_folds_agree(primes, caps):
     for cap in caps:
         try:
-            got = [s.mask for s in intersect_primes(primes, cap=cap)]
+            got = list(intersect_primes(primes, cap=cap))
         except CapacityExceeded as e:
             got = str(e)
         try:
             want = _reference_intersection(primes, cap)
         except CapacityExceeded as e:
             want = str(e)
-        assert got == want, (cap, [p.mask for p in primes])
+        assert got == want, (cap, primes)
 
 
 def test_prime_fold_matches_the_minimalizing_fold_on_the_family():
@@ -132,7 +146,7 @@ def prime_lists(draw):
             other = draw(st.integers(0, full))
             mask = {"copy": base, "sub": base & other or base, "super": base | other}[kind]
         masks.append(mask)
-    return ground, [EdgeSet(m, ground) for m in masks]
+    return ground, masks
 
 
 @given(prime_lists())
@@ -144,15 +158,15 @@ def test_prime_fold_matches_the_minimalizing_fold(case):
 
 
 def test_colon_mindeg_examples():
-    ideal = _ideal(3, [0, 1])
-    deg, wit = colon_mindeg(ideal, EdgeSet.of([0, 2], 3))
-    assert deg == 1 and [tuple(w) for w in wit] == [(1,)]
-    deg, wit = colon_mindeg(ideal, EdgeSet.of([0, 1], 3))
-    assert deg == 0 and [tuple(w) for w in wit] == [()]
-    deg, wit = colon_mindeg(ideal, EdgeSet.of([2], 3))
-    assert deg == 2 and [tuple(w) for w in wit] == [(0, 1)]
+    ideal = _ideal([0, 1])
+    deg, wit = colon_mindeg(ideal, _mask([0, 2]))
+    assert deg == 1 and wit == (0b010,)
+    deg, wit = colon_mindeg(ideal, _mask([0, 1]))
+    assert deg == 0 and wit == (0,)
+    deg, wit = colon_mindeg(ideal, _mask([2]))
+    assert deg == 2 and wit == (0b011,)
     with pytest.raises(EmptyIdeal):
-        colon_mindeg((), EdgeSet(0, 3))
+        colon_mindeg((), 0)
 
 
 @st.composite
@@ -161,7 +175,7 @@ def ideal_and_monomial(draw):
     full = (1 << ground) - 1
     gens = draw(st.lists(st.integers(1, full), min_size=1, max_size=5))
     m = draw(st.integers(0, full))
-    return tuple(EdgeSet(x, ground) for x in gens), EdgeSet(m, ground)
+    return tuple(gens), m
 
 
 @given(ideal_and_monomial())
@@ -170,15 +184,15 @@ def test_colon_mindeg_zero_iff_member(im):
     deg, witnesses = colon_mindeg(gens, m)
     assert (deg == 0) == _contains(gens, m)
     for w in witnesses:
-        assert len(w) == deg
+        assert w.bit_count() == deg
         assert _contains(gens, m | w)
 
 
 def test_example_instance_cover_lists(fig1):
     lemma = covers_lemma41(fig1)
-    assert [s.mask for s in lemma] == [64, 128, 256, 512, 6, 24, 40, 48]
+    assert lemma == [64, 128, 256, 512, 6, 24, 40, 48]
     oracle_covers = minimal_vertex_covers_oracle(spanning_complex(fig1))
-    assert [s.mask for s in oracle_covers] == [
+    assert oracle_covers == [
         64, 128, 256, 512, 6, 24, 40, 48, 11, 13, 19, 21, 35, 37,
     ]
     # the predicted list misses the covers built from a shared edge plus
@@ -196,10 +210,8 @@ def test_example_instance_cover_lists(fig1):
 
 def test_predicted_covers_are_a_subset(small_instances):
     for g in small_instances:
-        oracle_masks = {
-            s.mask for s in minimal_vertex_covers_oracle(spanning_complex(g))
-        }
-        lemma_masks = {s.mask for s in covers_lemma41(g)}
+        oracle_masks = set(minimal_vertex_covers_oracle(spanning_complex(g)))
+        lemma_masks = set(covers_lemma41(g))
         assert lemma_masks <= oracle_masks
         if g.r == 1:
             assert lemma_masks == oracle_masks
@@ -217,7 +229,7 @@ def test_predicted_covers_do_not(fig1):
     wrong = intersect_primes(covers_lemma41(fig1))
     assert wrong != facet_ideal(c)
     assert len(wrong) == 6
-    assert {len(s) for s in wrong} == {7}
+    assert {s.bit_count() for s in wrong} == {7}
     # fewer primes means a larger ideal
     for gen in facet_ideal(c):
         assert _contains(wrong, gen)
@@ -225,9 +237,8 @@ def test_predicted_covers_do_not(fig1):
 
 def test_block_ordering(fig1):
     ideal = facet_ideal(spanning_complex(fig1))
-    full = fig1.edge_set(fig1.full_mask)
     order = paper_ordering(fig1, ideal)
-    removed = [tuple(full ^ ideal[i]) for i in order]
+    removed = [tuple(_indices(fig1.full_mask ^ ideal[i])) for i in order]
     assert removed == [
         (0, 3),
         (0, 1), (0, 2), (0, 4), (0, 5),
@@ -260,7 +271,7 @@ def test_certificate_rejects_bad_orderings(fig1):
 
 
 def test_certificate_failure_reports_step_and_degree():
-    ideal = _ideal(4, [0, 1], [2, 3])
+    ideal = _ideal([0, 1], [2, 3])
     with pytest.raises(CertificateFails) as exc:
         quasi_linear_certificate(ideal, [0, 1])
     assert exc.value.step == 2
@@ -269,7 +280,7 @@ def test_certificate_failure_reports_step_and_degree():
 
 
 def test_single_generator_is_vacuously_fine():
-    ideal = _ideal(2, [0])
+    ideal = _ideal([0])
     cert = quasi_linear_certificate(ideal, [0])
     assert cert.witnesses == ()
     assert replay_certificate(ideal, cert)
@@ -314,7 +325,7 @@ def test_cm_verdict(fig1, triangle, chain3):
 
 
 def _reference_certificate(gens, ordering):
-    """The quadratic scan: every earlier generator, one EdgeSet difference
+    """The quadratic scan: every earlier generator, one bitmask difference
     each.  Returns ("ok", witnesses) or ("fails", step, mindeg)."""
     witnesses = []
     for p in range(2, len(gens) + 1):
@@ -322,13 +333,13 @@ def _reference_certificate(gens, ordering):
         best = None
         best_var = None
         for q in range(p - 1):
-            d = gens[ordering[q]] - m
-            size = len(d)
+            d = gens[ordering[q]] & ~m
+            size = d.bit_count()
             if best is None or size < best:
                 best = size
-                best_var = min(d) if size == 1 else None
+                best_var = d.bit_length() - 1 if size == 1 else None
             elif size == 1 == best:
-                best_var = min(best_var, min(d))
+                best_var = min(best_var, d.bit_length() - 1)
         if best != 1:
             return "fails", p, best
         witnesses.append(best_var)
@@ -336,7 +347,7 @@ def _reference_certificate(gens, ordering):
 
 
 def _reference_replay(gens, ordering, witnesses):
-    gens = [gens[i].mask for i in ordering]
+    gens = [gens[i] for i in ordering]
     for p in range(1, len(gens)):
         target = gens[p] | 1 << witnesses[p - 1]
         if not any(g & target == g for g in gens[:p]):
@@ -383,8 +394,26 @@ def test_exchange_lookup_matches_the_scan_on_random_orderings(fig1):
 
 
 def test_mixed_degrees_are_rejected():
-    ideal = _ideal(5, [0], [1, 2], [1, 3], [2, 3, 4])
+    ideal = _ideal([0], [1, 2], [1, 3], [2, 3, 4])
     with pytest.raises(ValueError, match="one degree"):
         quasi_linear_certificate(ideal, (0, 1, 2, 3))
     with pytest.raises(ValueError, match="one degree"):
         replay_certificate(ideal, QuotientCertificate((0, 1, 2, 3), (0, 0, 0)))
+
+
+def test_cover_count_closed_form_and_the_lemma_gap_on_the_family():
+    # With A = n - t - (r - 1) own edges in all, I_F has t + C(A, 2)
+    # associated primes; Lemma 4.1 lists t + sum_j C(a_j, 2) of them and
+    # misses the sum_{i<k} a_i a_k covers that cross shared edges.
+    for r, m, t in family_instances(4, 5, 3):
+        g = build_chain_graph(r, m, t)
+        trees = oracle.spanning_tree_masks(g.endpoints, g.num_vertices)
+        own = [mask.bit_count() for mask in g.own_masks]
+        total = g.n - t - (r - 1)
+        assert sum(own) == total
+        found = len(oracle.minimal_hitting_sets(trees))
+        assert found == t + math.comb(total, 2), (r, m, t)
+        lemma = len(covers_lemma41(g))
+        assert lemma == t + sum(math.comb(a, 2) for a in own), (r, m, t)
+        crossing = sum(a * b for a, b in itertools.combinations(own, 2))
+        assert found - lemma == crossing, (r, m, t)

@@ -1,5 +1,8 @@
 """The independent routes everything else is checked against."""
 
+import ast
+import pathlib
+import sys
 import tracemalloc
 
 import pytest
@@ -18,6 +21,24 @@ from cyclechain.oracle import (
 
 TRIANGLE_EDGES = ((0, 1), (1, 2), (2, 0))
 K4_EDGES = tuple((u, v) for u in range(4) for v in range(u + 1, 4))
+
+
+def test_oracle_imports_only_the_standard_library_and_errors():
+    # the oracles stay independent of the formula side, so no module of
+    # the package but its exception types may feed them
+    tree = ast.parse(pathlib.Path(oracle.__file__).read_text())
+    imports = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imports += [(0, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imports.append((node.level, node.module))
+    assert (1, "errors") in imports
+    for level, name in imports:
+        if level:
+            assert (level, name) == (1, "errors"), name
+        else:
+            assert name.split(".")[0] in sys.stdlib_module_names, name
 
 
 def _det_reference(m):

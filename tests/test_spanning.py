@@ -14,8 +14,8 @@ from cyclechain import (
     oracle,
     removal_class,
 )
-from cyclechain.edgeset import EdgeSet
 from cyclechain.spanning import _classify, _consecutive_runs
+from cyclechain.verify import labels_of
 
 
 def _by_class(g, trees):
@@ -24,7 +24,7 @@ def _by_class(g, trees):
 
 def _removed_labels(g, trees):
     return {
-        frozenset(g.labels[i] for i in tree.complement()): removal_class(g, tree)
+        frozenset(labels_of(g, g.full_mask ^ tree)): removal_class(g, tree)
         for tree in trees
     }
 
@@ -37,8 +37,7 @@ def test_example_instance_trees(fig1):
     trees = enumerate_trees_characterized(fig1)
     assert len(trees) == 11
     assert _by_class(fig1, trees) == {"C1": 6, "C2": 5}
-    masks = [tree.mask for tree in trees]
-    assert masks == sorted(masks)
+    assert list(trees) == sorted(trees)
 
 
 def test_example_instance_removals(fig1):
@@ -56,16 +55,16 @@ def test_example_instance_removals(fig1):
 def test_every_removal_has_r_edges(fig1, chain3):
     for g in (fig1, chain3):
         for tree in enumerate_trees_characterized(g):
-            removed = tree.complement()
-            assert len(removed) == g.r
-            assert all(i < g.n - g.t for i in removed)
+            removed = g.full_mask ^ tree
+            assert removed.bit_count() == g.r
+            assert removed >> (g.n - g.t) == 0
 
 
 def test_single_cycle(triangle):
     trees = enumerate_trees_characterized(triangle)
     assert len(trees) == 3
     assert _by_class(triangle, trees) == {"C1": 3}
-    assert [tree.mask for tree in trees] == [0b011, 0b101, 0b110]
+    assert trees == (0b011, 0b101, 0b110)
 
 
 def test_two_cycles_count_is_pairwise_product_sum():
@@ -98,7 +97,7 @@ def test_long_chains_cover_all_classes():
 def test_matches_oracle_and_kirchhoff(small_instances):
     for g in small_instances:
         trees = enumerate_trees_characterized(g)
-        assert {tree.mask for tree in trees} == _oracle_masks(g)
+        assert set(trees) == _oracle_masks(g)
         assert len(trees) == count_trees_kirchhoff(g)
 
 
@@ -165,7 +164,7 @@ def test_walk_lists_what_the_pattern_product_lists_on_the_family():
         g = build_chain_graph(r, m, t)
         full = g.full_mask
         listed = [
-            (tree.mask, full ^ tree.mask, removal_class(g, tree))
+            (tree, full ^ tree, removal_class(g, tree))
             for tree in enumerate_trees_characterized(g)
         ]
         assert listed == _enumerate_by_patterns(g), (r, m, t)
@@ -195,9 +194,9 @@ def test_count_matches_kirchhoff_past_enumeration():
 
 
 def test_forest_edges_never_removed(fig1):
-    forest = EdgeSet.of(range(6, 10), fig1.n)
+    forest = 0b1111 << 6
     for tree in enumerate_trees_characterized(fig1):
-        assert not (tree.complement() & forest)
+        assert tree & forest == forest
 
 
 def test_removal_sets_are_distinct_and_count_the_trees():
@@ -205,7 +204,7 @@ def test_removal_sets_are_distinct_and_count_the_trees():
     # must already be pairwise distinct and as many as Kirchhoff's count
     for r, m, t in family_instances(4, 4, 1):
         g = build_chain_graph(r, m, t)
-        masks = [tree.mask for tree in enumerate_trees_characterized(g)]
+        masks = list(enumerate_trees_characterized(g))
         removed = [g.full_mask ^ k for k in masks]
         assert len(set(removed)) == len(removed) == count_trees_kirchhoff(g)
         assert masks == sorted(masks)

@@ -159,7 +159,7 @@ def test_verify_instance_makes_the_calls_the_traced_benchmark_requires(
 ):
     # perfbench's traced family run exits 1 unless it records these calls,
     # and it counts faces as len() of what downset_faces returns
-    facets = [f.mask for f in spanning_complex(fig1).facets]
+    facets = spanning_complex(fig1).facets
     assert len(oracle.downset_faces(facets)) == sum(oracle.downset_face_counts(facets))
     oracles = _count_calls(monkeypatch, "downset_faces", "minimal_hitting_sets")
     primes = _count_calls(monkeypatch, "intersect_primes", module=ideal)
