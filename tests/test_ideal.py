@@ -24,6 +24,7 @@ from cyclechain import (
     replay_certificate,
     spanning_complex,
 )
+from cyclechain.verify import labels_of
 
 
 def _mask(indices):
@@ -47,17 +48,9 @@ def _contains(gens, m):
     return any(gen & m == gen for gen in gens)
 
 
-def _prime(*vars_):
-    return _mask(vars_)
-
-
-def _labels(g, s):
-    return [g.labels[i] for i in _indices(s)]
-
-
 def test_variable_prime_must_be_nonempty():
     with pytest.raises(ValueError, match="at least one variable"):
-        intersect_primes([_prime(0), 0])
+        intersect_primes([0b001, 0])
 
 
 def test_facet_ideal(triangle):
@@ -66,15 +59,15 @@ def test_facet_ideal(triangle):
 
 
 def test_prime_intersection_small():
-    meet = intersect_primes([_prime(0, 1), _prime(1, 2)])
+    meet = intersect_primes([0b011, 0b110])
     assert meet == (0b010, 0b101)
-    assert intersect_primes([_prime(2)]) == (0b100,)
+    assert intersect_primes([0b100]) == (0b100,)
     with pytest.raises(EmptyIdeal):
         intersect_primes([])
     with pytest.raises(CapacityExceeded):
-        intersect_primes([_prime(0, 1), _prime(2, 3)], cap=1)
+        intersect_primes([0b0011, 0b1100], cap=1)
     with pytest.raises(TypeError):
-        intersect_primes([_prime(0, 1), _prime(2, 3)], 4)
+        intersect_primes([0b0011, 0b1100], 4)
 
 
 def _reference_intersection(primes, cap, formed=None):
@@ -198,7 +191,7 @@ def test_example_instance_cover_lists(fig1):
     # the predicted list misses the covers built from a shared edge plus
     # one non-shared edge of each adjacent cycle
     extras = [s for s in oracle_covers if s not in lemma]
-    assert [_labels(fig1, s) for s in extras] == [
+    assert [labels_of(fig1, s) for s in extras] == [
         ["e_{1,1}", "e_{1,2}", "e_{2,1}"],
         ["e_{1,1}", "e_{1,3}", "e_{2,1}"],
         ["e_{1,1}", "e_{1,2}", "e_{2,2}"],
