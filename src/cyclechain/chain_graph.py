@@ -25,8 +25,8 @@ is evaluated alongside and the agreement is reported, never assumed.
 """
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import BadAttachment, CapacityExceeded, IndexOutOfRange, InvalidLength
 
@@ -224,9 +224,9 @@ def build_chain_graph(r: int, m, forest=0) -> ChainGraph:
     return ChainGraph(r, m, tuple(endpoints), tuple(labels), tuple(attachments))
 
 
-@dataclass(frozen=True)
-class CompositeCycle:
-    """Cycle C_{start,...,start+span} (span = 0 is simple) and its edge bitmask."""
+class CompositeCycle(NamedTuple):
+    """Cycle C_{start,...,start+span} (span = 0 is simple) and its edge
+    bitmask, as a named tuple."""
 
     start: int
     span: int
@@ -292,8 +292,10 @@ def intersection_formula(g: ChainGraph, a: CompositeCycle, b: CompositeCycle) ->
     return 0, 9
 
 
-@dataclass(frozen=True)
-class PairComparison:
+class PairComparison(NamedTuple):
+    """Exact and predicted intersection size of the cycles a and b, each
+    given as (start, span), with the predictor's row; a named tuple."""
+
     a: tuple[int, int]
     b: tuple[int, int]
     exact: int

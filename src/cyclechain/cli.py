@@ -63,6 +63,17 @@ def integer(text: str) -> int:
     return int(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reports a rejected argument the way every
+    other invalid input is reported: one 'error: ...' line on stderr and
+    exit 2, without the usage block.  Subparsers are made of this class
+    too."""
+
+    def error(self, message):
+        print(f"error: {message}", file=sys.stderr)
+        raise SystemExit(EXIT_INVALID)
+
+
 def _graph_flags() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--spec", metavar="FILE", help="JSON graph spec file")
@@ -111,9 +122,11 @@ def _load_graph(args):
     return build_chain_graph(*_graph_args(args))
 
 
-def _emit(obj, pretty_lines=None, pretty=False) -> None:
-    if pretty and pretty_lines is not None:
-        print("\n".join(pretty_lines))
+def _emit(obj, pretty_lines, pretty: bool) -> None:
+    """Print obj as JSON, or under --pretty the list of lines that
+    pretty_lines() builds; it is only called then."""
+    if pretty:
+        print("\n".join(pretty_lines()))
     else:
         print(json.dumps(obj))
 
@@ -133,8 +146,13 @@ def cmd_gen(args) -> int:
         "forest_attachments": list(g.forest_attachments),
         "edges": edges,
     }
-    lines = [f"graph: r={g.r} m={list(g.m)} t={g.t} n={g.n} vertices={g.num_vertices}"]
-    lines += [f"  {e['index']:>3}  {e['label']:<10} {e['endpoints']}" for e in edges]
+
+    def lines():
+        head = f"graph: r={g.r} m={list(g.m)} t={g.t} n={g.n} vertices={g.num_vertices}"
+        return [head] + [
+            f"  {e['index']:>3}  {e['label']:<10} {e['endpoints']}" for e in edges
+        ]
+
     _emit(obj, lines, args.pretty)
     return EXIT_OK
 
@@ -154,12 +172,14 @@ def cmd_cycles(args) -> int:
             for c in cycles
         ],
     }
-    lines = [f"{len(cycles)} cycles"]
-    lines += [
-        f"  C(start={c['start']}, span={c['span']}) length {c['length']}: "
-        + " ".join(c["edges"])
-        for c in obj["cycles"]
-    ]
+
+    def lines():
+        return [f"{len(cycles)} cycles"] + [
+            f"  C(start={c['start']}, span={c['span']}) length {c['length']}: "
+            + " ".join(c["edges"])
+            for c in obj["cycles"]
+        ]
+
     _emit(obj, lines, args.pretty)
     return EXIT_OK
 
@@ -168,11 +188,10 @@ def cmd_trees(args) -> int:
     g = _load_graph(args)
     if args.count_only:
         count = spanning.count_trees_characterized(g)
-        _emit({"count": count}, [f"{count} spanning trees"], args.pretty)
+        _emit({"count": count}, lambda: [f"{count} spanning trees"], args.pretty)
         return EXIT_OK
     trees = spanning.enumerate_trees_characterized(g)
     obj = {"count": len(trees), "trees": [labels_of(g, s) for s in trees]}
-    lines = [f"{len(trees)} spanning trees"]
     if args.by_class:
         tags = [spanning.removal_class(g, s) for s in trees]
         obj["by_class"] = {
@@ -182,15 +201,21 @@ def cmd_trees(args) -> int:
             {"class": tag, "removed": labels_of(g, g.full_mask ^ s)}
             for s, tag in zip(trees, tags)
         ]
-        lines += [f"  {tag}: {cnt}" for tag, cnt in obj["by_class"].items()]
-    lines += [
-        "  keep {" + " ".join(tr) + "}"
-        + (f"  drop {{{' '.join(rm['removed'])}}} [{rm['class']}]" if args.by_class else "")
-        for tr, rm in zip(
-            obj["trees"],
-            obj.get("removals", [{}] * len(trees)),
-        )
-    ]
+
+    def lines():
+        out = [f"{len(trees)} spanning trees"]
+        if args.by_class:
+            out += [f"  {tag}: {cnt}" for tag, cnt in obj["by_class"].items()]
+        out += [
+            "  keep {" + " ".join(tr) + "}"
+            + (f"  drop {{{' '.join(rm['removed'])}}} [{rm['class']}]" if args.by_class else "")
+            for tr, rm in zip(
+                obj["trees"],
+                obj.get("removals", [{}] * len(trees)),
+            )
+        ]
+        return out
+
     _emit(obj, lines, args.pretty)
     return EXIT_OK
 
@@ -214,8 +239,7 @@ def cmd_fvector(args) -> int:
                 list(cmp.r2_closed_form) if cmp.r2_closed_form else None
             ),
         }
-    lines = [f"{k}: {v}" for k, v in obj.items()]
-    _emit(obj, lines, args.pretty)
+    _emit(obj, lambda: [f"{k}: {v}" for k, v in obj.items()], args.pretty)
     return EXIT_OK
 
 
@@ -233,11 +257,14 @@ def cmd_hilbert(args) -> int:
         "denom_power": series.denom_power,
         "expansion": series.expand(args.expand),
     }
-    lines = [
-        f"numerator coefficients: {obj['numerator']}",
-        f"denominator: (1-t)^{obj['denom_power']}",
-        f"expansion to degree {args.expand}: {obj['expansion']}",
-    ]
+
+    def lines():
+        return [
+            f"numerator coefficients: {obj['numerator']}",
+            f"denominator: (1-t)^{obj['denom_power']}",
+            f"expansion to degree {args.expand}: {obj['expansion']}",
+        ]
+
     _emit(obj, lines, args.pretty)
     return EXIT_OK
 
@@ -249,8 +276,12 @@ def cmd_covers(args) -> int:
     else:
         covers = ideal.minimal_vertex_covers_oracle(simplicial.spanning_complex(g))
     obj = {"count": len(covers), "covers": [labels_of(g, c) for c in covers]}
-    lines = [f"{len(covers)} minimal vertex covers"]
-    lines += ["  {" + " ".join(c) + "}" for c in obj["covers"]]
+
+    def lines():
+        return [f"{len(covers)} minimal vertex covers"] + [
+            "  {" + " ".join(c) + "}" for c in obj["covers"]
+        ]
+
     _emit(obj, lines, args.pretty)
     return EXIT_OK
 
@@ -271,10 +302,13 @@ def cmd_decompose(args) -> int:
         "generators": [labels_of(g, s) for s in met],
         "equals_facet_ideal": equal,
     }
-    lines = [
-        f"{len(covers)} primes, {len(met)} intersection generators",
-        f"equals facet ideal: {equal}",
-    ]
+
+    def lines():
+        return [
+            f"{len(covers)} primes, {len(met)} intersection generators",
+            f"equals facet ideal: {equal}",
+        ]
+
     _emit(obj, lines, args.pretty)
     return EXIT_OK if equal else EXIT_MISMATCH
 
@@ -291,12 +325,14 @@ def cmd_certify(args) -> int:
         "witnesses": [g.labels[v] for v in cert.witnesses],
         "replayed": replayed,
     }
-    lines = [f"{obj['steps']}-step certificate (replayed: {replayed})"]
-    lines += [
-        f"  {p + 1:>3}  drop {{{' '.join(obj['ordering'][p])}}}"
-        + (f"  witness {obj['witnesses'][p - 1]}" if p else "")
-        for p in range(obj["steps"])
-    ]
+
+    def lines():
+        return [f"{obj['steps']}-step certificate (replayed: {replayed})"] + [
+            f"  {p + 1:>3}  drop {{{' '.join(obj['ordering'][p])}}}"
+            + (f"  witness {obj['witnesses'][p - 1]}" if p else "")
+            for p in range(obj["steps"])
+        ]
+
     _emit(obj, lines, args.pretty)
     return EXIT_OK if replayed else EXIT_MISMATCH
 
@@ -354,8 +390,6 @@ def cmd_verify(args) -> int:
             "skipped": statuses.count("skipped"),
             "reports": [r.to_json() for r in reports],
         }
-        lines = [ln for r in reports for ln in _report_lines(r)]
-        lines.append(f"{len(reports)} instances, ok={ok}")
         for r in reports:
             elapsed = sum(c.elapsed for c in r.checks + r.notes)
             print(
@@ -363,6 +397,12 @@ def cmd_verify(args) -> int:
                 f"{elapsed:.3f}s",
                 file=sys.stderr,
             )
+
+        def lines():
+            return [ln for r in reports for ln in _report_lines(r)] + [
+                f"{len(reports)} instances, ok={ok}"
+            ]
+
         _emit(obj, lines, args.pretty)
         return EXIT_OK if ok else EXIT_MISMATCH
     g = _load_graph(args)
@@ -371,13 +411,13 @@ def cmd_verify(args) -> int:
     )
     for c in rep.checks + rep.notes:
         print(f"check {c.name}: {c.status} ({c.elapsed:.3f}s)", file=sys.stderr)
-    _emit(rep.to_json(), _report_lines(rep), args.pretty)
+    _emit(rep.to_json(), lambda: _report_lines(rep), args.pretty)
     return EXIT_OK if rep.ok else EXIT_MISMATCH
 
 
 def _build_parser() -> argparse.ArgumentParser:
     gf = _graph_flags()
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="cyclechain",
         description="Spanning-tree complexes of chains of cycles: enumeration, "
         "f-vectors, Hilbert series, cover decomposition, quotient certificates.",

@@ -6,17 +6,16 @@ Combinatorics and Commutative Algebra, ch. II).
 """
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import oracle
 from .chain_graph import ChainGraph
 from .util import binom
 
 
-@dataclass(frozen=True)
-class RationalSeries:
+class RationalSeries(NamedTuple):
     """numerator / (1-t)^denom_power, where numerator[k] is the coefficient
-    of t^k (for a face ring, the h-vector)."""
+    of t^k (for a face ring, the h-vector); a named tuple."""
 
     numerator: tuple[int, ...]
     denom_power: int

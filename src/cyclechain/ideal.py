@@ -36,7 +36,7 @@ on the earlier generators.
 """
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chain_graph import ChainGraph
 from .errors import CapacityExceeded, CertificateFails, EmptyIdeal
@@ -174,9 +174,9 @@ def paper_ordering(g: ChainGraph, gens) -> list[int]:
     )
 
 
-@dataclass(frozen=True)
-class QuotientCertificate:
-    """Witness that an ordering has quasi-linear quotients.
+class QuotientCertificate(NamedTuple):
+    """Witness that an ordering has quasi-linear quotients, as a named
+    tuple (ordering, witnesses).
 
     witnesses[p-2] is the variable whose product with the p-th ordered
     generator falls into the ideal of the earlier ones (p counted from 1;

@@ -24,7 +24,7 @@ suite holds to exact agreement.
 """
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import oracle
 from .chain_graph import ChainGraph, all_cycles, composite_length, intersection_formula
@@ -35,31 +35,32 @@ from .util import binom
 MAX_CYCLE_SUBSETS = 21
 
 
-@dataclass(frozen=True)
 class SimplicialComplex:
     """A pure complex given by its facets, all of one size: bitmasks over
     the edge indices 0..ground_size-1.
 
     Facets of mixed sizes are rejected, so no facet can contain another
-    and the facets are the complex's maximal faces as they stand.
+    and the facets are the complex's maximal faces as they stand.  A plain
+    object: complexes compare and hash by identity.
     """
 
-    ground_size: int
-    facets: tuple[int, ...]
+    __slots__ = ("ground_size", "facets")
 
-    def __post_init__(self):
-        if not self.facets:
+    def __init__(self, ground_size: int, facets: tuple[int, ...]):
+        if not facets:
             raise ValueError("a complex needs at least one facet")
-        size = self.facets[0].bit_count()
-        for f in self.facets:
-            if f < 0 or f >> self.ground_size:
+        size = facets[0].bit_count()
+        for f in facets:
+            if f < 0 or f >> ground_size:
                 raise ValueError(
-                    f"facet {f:#x} has bits outside ground size {self.ground_size}"
+                    f"facet {f:#x} has bits outside ground size {ground_size}"
                 )
             if f.bit_count() != size:
                 raise ValueError(f"facet {f:#x} has size {f.bit_count()}, not {size}")
-        if len(set(self.facets)) < len(self.facets):
+        if len(set(facets)) < len(facets):
             raise ValueError("duplicate facets")
+        self.ground_size = ground_size
+        self.facets = facets
 
     @property
     def dim(self) -> int:
@@ -121,9 +122,8 @@ def f_vector_exact(g: ChainGraph) -> tuple[int, ...]:
     )
 
 
-@dataclass(frozen=True)
-class FVectorComparison:
-    """Exact f-vector next to the pairwise-estimate form."""
+class FVectorComparison(NamedTuple):
+    """Exact f-vector next to the pairwise-estimate form, as a named tuple."""
 
     exact: tuple[int, ...]
     pairwise_form: tuple[int, ...]

@@ -37,7 +37,7 @@ boundaries and be emitted verbatim.
 import itertools
 import os
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import hilbert, ideal, oracle, simplicial, spanning
 from .chain_graph import ChainGraph, build_chain_graph, intersection_report
@@ -56,16 +56,18 @@ NOTE_NAMES = ("fvector_paper", "intersections")
 HILBERT_DEGREES = 10
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
+    """One check's or note's outcome, as a named tuple."""
+
     name: str
     status: str  # match | mismatch | skipped
     elapsed: float
     detail: object = None
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
+    """One instance's checks and notes, as a named tuple."""
+
     instance: dict
     checks: tuple[CheckResult, ...]
     notes: tuple[CheckResult, ...]

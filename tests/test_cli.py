@@ -496,3 +496,16 @@ def test_bad_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "--family", "1,3,0", "--jobs", "1_0"), ("frobnicate",)],
+)
+def test_argparse_rejections_print_one_error_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
