@@ -48,7 +48,6 @@ from .ideal import (
 )
 from .simplicial import (
     FVectorComparison,
-    SimplicialComplex,
     f_vector_bruteforce,
     f_vector_exact,
     f_vector_paper,

@@ -4,6 +4,9 @@ One subcommand per library operation, JSON on stdout, diagnostics on
 stderr.  Exit codes: 0 success, 1 stdout closed early, 2 invalid input,
 3 capacity exceeded, 4 certificate failure, 5 cross-check mismatch.  All
 stdout is deterministic for a fixed command line; timings go to stderr.
+
+Commands that list trees or ask an oracle read them from verify's
+per-instance context, so they exit 3 over its caps before listing a tree.
 """
 
 import argparse
@@ -13,7 +16,7 @@ import os
 import re
 import sys
 
-from . import hilbert, ideal, oracle, simplicial, spanning, verify
+from . import hilbert, ideal, simplicial, spanning, verify
 from .chain_graph import all_cycles, build_chain_graph
 from .errors import (
     BadAttachment,
@@ -190,7 +193,7 @@ def cmd_trees(args) -> int:
         count = spanning.count_trees_characterized(g)
         _emit({"count": count}, lambda: [f"{count} spanning trees"], args.pretty)
         return EXIT_OK
-    trees = spanning.enumerate_trees_characterized(g)
+    trees = verify._Context(g).facet_ideal()
     obj = {"count": len(trees), "trees": [labels_of(g, s) for s in trees]}
     if args.by_class:
         tags = [spanning.removal_class(g, s) for s in trees]
@@ -226,7 +229,7 @@ def cmd_fvector(args) -> int:
         f = simplicial.f_vector_exact(g)
         obj = {"f": list(f), "dim": len(f) - 1}
     elif args.method == "brute":
-        f = simplicial.f_vector_bruteforce(simplicial.spanning_complex(g))
+        f = verify._Context(g).face_fvector()
         obj = {"f": list(f), "dim": len(f) - 1}
     else:
         cmp = simplicial.f_vector_paper(g, simplicial.f_vector_exact(g))
@@ -274,7 +277,7 @@ def cmd_covers(args) -> int:
     if args.method == "lemma":
         covers = ideal.covers_lemma41(g)
     else:
-        covers = ideal.minimal_vertex_covers_oracle(simplicial.spanning_complex(g))
+        covers = verify._Context(g).oracle_covers()
     obj = {"count": len(covers), "covers": [labels_of(g, c) for c in covers]}
 
     def lines():
@@ -293,10 +296,10 @@ def cmd_decompose(args) -> int:
     # Their intersection is the facet ideal of the true trees, so the
     # comparison below fails on a wrong listing.
     g = _load_graph(args)
-    trees = oracle.spanning_tree_masks(g.endpoints, g.num_vertices)
-    covers = oracle.minimal_hitting_sets(trees)
+    ctx = verify._Context(g)
+    covers = ctx.oracle_covers()
     met = ideal.intersect_primes(covers)
-    equal = met == ideal.facet_ideal(simplicial.spanning_complex(g))
+    equal = met == ctx.facet_ideal()
     obj = {
         "primes": [labels_of(g, c) for c in covers],
         "generators": [labels_of(g, s) for s in met],
@@ -315,7 +318,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_certify(args) -> int:
     g = _load_graph(args)
-    fi = ideal.facet_ideal(simplicial.spanning_complex(g))
+    fi = verify._Context(g).facet_ideal()
     cert = ideal.cohen_macaulay_verdict(g, fi)
     replayed = ideal.replay_certificate(fi, cert)
     obj = {
@@ -459,8 +462,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", metavar="R,M,T", help="verify the whole family")
     p.add_argument("--checks", help="comma-separated subset of checks")
     p.add_argument("--jobs", type=integer, default=1)
-    p.add_argument("--tree-cap", type=integer, default=10**6)
-    p.add_argument("--face-cap", type=integer, default=1 << 24)
+    p.add_argument("--tree-cap", type=integer, default=verify.TREE_CAP)
+    p.add_argument("--face-cap", type=integer, default=verify.FACE_CAP)
     p.set_defaults(func=cmd_verify)
     return top
 

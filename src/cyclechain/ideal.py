@@ -3,7 +3,9 @@
 A square-free monomial is the int bitmask of its support, one bit per
 edge variable, and a square-free monomial ideal is its minimal generating
 system, which is unique: a plain tuple of such ints in (popcount, mask)
-order.  Ideal arithmetic is then bitmask arithmetic:
+order.  facet_ideal takes the facets as a tuple of masks, such as
+simplicial.spanning_complex(g), and checks itself that they are distinct
+and of one size.  Ideal arithmetic is then bitmask arithmetic:
 
   * membership: m is in I iff some generator's support is a subset of m's;
   * colon by a square-free monomial: generator supports minus the monomial's;
@@ -40,23 +42,32 @@ from typing import NamedTuple
 
 from .chain_graph import ChainGraph
 from .errors import CapacityExceeded, CertificateFails, EmptyIdeal
-from .simplicial import SimplicialComplex
 from . import oracle
 
 
-def facet_ideal(c: SimplicialComplex) -> tuple[int, ...]:
-    """Generators are the facets, read as square-free supports.
+def facet_ideal(facets) -> tuple[int, ...]:
+    """Generators are the facets, bitmasks read as square-free supports.
 
-    The complex has already rejected duplicate facets and facets of mixed
-    sizes, so no facet divides another and the facets are a minimal
-    generating system as they stand; they only need the (size, mask) order.
+    ValueError for an empty list, a negative mask, a repeated facet or
+    facets of mixed sizes.  Distinct facets of one size never divide one
+    another, so the facets that pass are a minimal generating system as
+    they stand; they only need the (size, mask) order.
     """
-    return tuple(sorted(c.facets, key=lambda f: (f.bit_count(), f)))
+    if not facets:
+        raise ValueError("a facet ideal needs at least one facet")
+    gens = tuple(sorted(facets))
+    if gens[0] < 0:
+        raise ValueError("a facet mask is negative")
+    _require_one_degree(gens)  # so mask order is (size, mask) order
+    if any(a == b for a, b in itertools.pairwise(gens)):
+        raise ValueError("duplicate facets")
+    return gens
 
 
-def minimal_vertex_covers_oracle(c: SimplicialComplex) -> list[int]:
-    """All minimal covers by exhaustive transversal search (oracle route)."""
-    return oracle.minimal_hitting_sets(c.facets)
+def minimal_vertex_covers_oracle(facets) -> list[int]:
+    """All minimal covers of the facets by exhaustive transversal search
+    (oracle route)."""
+    return oracle.minimal_hitting_sets(facets)
 
 
 def covers_lemma41(g: ChainGraph) -> list[int]:
@@ -207,7 +218,7 @@ def _exchange_witness(
 
 def _require_one_degree(gens) -> None:
     if len({g.bit_count() for g in gens}) > 1:
-        raise ValueError("the certificate needs generators of one degree")
+        raise ValueError("generators of more than one degree")
 
 
 def quasi_linear_certificate(gens, ordering) -> QuotientCertificate:

@@ -1,11 +1,13 @@
 """Spanning simplicial complex of a chain graph and its f-vector.
 
-The facets are the spanning trees (int bitmasks), so the faces are the edge
-sets that contain no cycle.  An f-vector is a tuple f, where f[i] counts the
-faces of size i+1 (the empty face is left out).  It is computed three ways:
+The complex is given by its facets alone: spanning_complex(g) is the tuple
+of g's spanning trees (int bitmasks), with no wrapper around it, so the
+faces are the edge sets that contain no cycle.  An f-vector is a tuple f,
+where f[i] counts the faces of size i+1 (the empty face is left out).  It
+is computed three ways:
 
-  * f_vector_bruteforce: count the faces of the facet downset through the
-    face oracle's subset closure over one bitmap.
+  * f_vector_bruteforce: count the faces of the downset of a tuple of
+    facet masks through the face oracle's subset closure over one bitmap.
   * f_vector_exact: inclusion-exclusion over the 2^tau cycle subsets with
     union sizes read off the actual edge sets.  This is the normative route.
   * f_vector_pairwise_form: the same sum, but with each union size replaced
@@ -35,45 +37,13 @@ from .util import binom
 MAX_CYCLE_SUBSETS = 21
 
 
-class SimplicialComplex:
-    """A pure complex given by its facets, all of one size: bitmasks over
-    the edge indices 0..ground_size-1.
-
-    Facets of mixed sizes are rejected, so no facet can contain another
-    and the facets are the complex's maximal faces as they stand.  A plain
-    object: complexes compare and hash by identity.
-    """
-
-    __slots__ = ("ground_size", "facets")
-
-    def __init__(self, ground_size: int, facets: tuple[int, ...]):
-        if not facets:
-            raise ValueError("a complex needs at least one facet")
-        size = facets[0].bit_count()
-        for f in facets:
-            if f < 0 or f >> ground_size:
-                raise ValueError(
-                    f"facet {f:#x} has bits outside ground size {ground_size}"
-                )
-            if f.bit_count() != size:
-                raise ValueError(f"facet {f:#x} has size {f.bit_count()}, not {size}")
-        if len(set(facets)) < len(facets):
-            raise ValueError("duplicate facets")
-        self.ground_size = ground_size
-        self.facets = facets
-
-    @property
-    def dim(self) -> int:
-        return self.facets[0].bit_count() - 1
+def spanning_complex(g: ChainGraph) -> tuple[int, ...]:
+    """The facets of g's spanning complex: its spanning trees, ascending."""
+    return enumerate_trees_characterized(g)
 
 
-def spanning_complex(g: ChainGraph) -> SimplicialComplex:
-    """The complex whose facets are the spanning trees of g."""
-    return SimplicialComplex(g.n, enumerate_trees_characterized(g))
-
-
-def f_vector_bruteforce(c: SimplicialComplex) -> tuple[int, ...]:
-    return tuple(oracle.downset_face_counts(c.facets))
+def f_vector_bruteforce(facets) -> tuple[int, ...]:
+    return tuple(oracle.downset_face_counts(facets))
 
 
 def _check_subset_cap(g: ChainGraph) -> None:

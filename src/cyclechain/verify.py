@@ -30,6 +30,12 @@ decomposition and cm), counted before any tree is listed; over the cycle
 subset limit the fvector and hilbert checks and the fvector_paper note,
 which share the exact f-vector, are all skipped.
 
+The same context is the one place where the CLI gets the listed trees,
+the facet ideal and the oracle answers: trees, certify and decompose read
+its facet ideal, covers --method oracle its cover search and fvector
+--method brute its face count, at the default caps TREE_CAP and FACE_CAP.
+Over a cap they raise SearchSpaceTooLarge before listing a tree.
+
 Every detail payload is plain JSON data so reports can cross process
 boundaries and be emitted verbatim.
 """
@@ -54,6 +60,8 @@ CHECK_NAMES = (
 )
 NOTE_NAMES = ("fvector_paper", "intersections")
 HILBERT_DEGREES = 10
+TREE_CAP = 10**6
+FACE_CAP = 1 << 24
 
 
 class CheckResult(NamedTuple):
@@ -121,7 +129,9 @@ class _Context:
     that is not selected builds nothing it alone reads.
     """
 
-    def __init__(self, g: ChainGraph, tree_cap: int, face_cap: int):
+    def __init__(
+        self, g: ChainGraph, tree_cap: int = TREE_CAP, face_cap: int = FACE_CAP
+    ):
         self.g = g
         self.tree_cap = tree_cap
         self.face_cap = face_cap
@@ -319,8 +329,8 @@ def select_checks(checks) -> tuple[str, ...]:
 def verify_instance(
     g: ChainGraph,
     checks=None,
-    tree_cap: int = 10**6,
-    face_cap: int = 1 << 24,
+    tree_cap: int = TREE_CAP,
+    face_cap: int = FACE_CAP,
 ) -> OracleReport:
     """Run the selected checks (default: all) plus both notes."""
     selected = select_checks(checks)
@@ -394,8 +404,8 @@ def verify_family(
     tmax: int,
     checks=None,
     jobs: int = 1,
-    tree_cap: int = 10**6,
-    face_cap: int = 1 << 24,
+    tree_cap: int = TREE_CAP,
+    face_cap: int = FACE_CAP,
 ) -> list[OracleReport]:
     """Verify every instance of the family, optionally across processes.
 

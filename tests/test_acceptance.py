@@ -65,7 +65,8 @@ def test_criterion_1_example_instance_battery(fig1):
     cycles = all_cycles(fig1)
     assert len(cycles) == 3
     assert sorted(c.edges.bit_count() for c in cycles) == [3, 4, 5]
-    assert spanning_complex(fig1).dim == 7
+    # every facet has 8 edges, so the complex has dimension 7
+    assert {f.bit_count() - 1 for f in spanning_complex(fig1)} == {7}
 
     trees = enumerate_trees_characterized(fig1)
     assert len(trees) == 11
@@ -208,10 +209,10 @@ def test_criterion_7_property_suites():
     pool = [g for g in SMALL if g.n <= 9]
     for _ in range(N_CASES):
         g = pool[rng.randrange(len(pool))]
-        c = spanning_complex(g)
-        covers = minimal_vertex_covers_oracle(c)
+        facets = spanning_complex(g)
+        covers = minimal_vertex_covers_oracle(facets)
         for s in covers:
-            assert all(s & f for f in c.facets)
+            assert all(s & f for f in facets)
         for s in covers:
             for s2 in covers:
                 assert s == s2 or s & s2 != s

@@ -1,7 +1,9 @@
 """End-to-end runs of the console entry point."""
 
+import ast
 import json
 import os
+import pathlib
 import resource
 import subprocess
 import sys
@@ -9,7 +11,7 @@ import sys
 import pytest
 
 import cyclechain
-from cyclechain import EmptyIdeal, ideal, simplicial, spanning
+from cyclechain import EmptyIdeal, cli, ideal, simplicial, spanning
 from cyclechain.cli import main
 
 
@@ -121,15 +123,48 @@ def test_decompose(capsys):
     assert len(obj["generators"]) == 11
 
 
+def _drop_the_first_listed_tree(monkeypatch):
+    real = simplicial.enumerate_trees_characterized
+    monkeypatch.setattr(simplicial, "enumerate_trees_characterized", lambda g: real(g)[1:])
+
+
 def test_decompose_catches_a_wrong_listing(capsys, monkeypatch):
     # the primes come from the brute-force trees, so a listing that misses
     # a tree no longer gives the facet ideal their intersection gives
-    real = simplicial.enumerate_trees_characterized
-    monkeypatch.setattr(simplicial, "enumerate_trees_characterized", lambda g: real(g)[1:])
+    _drop_the_first_listed_tree(monkeypatch)
     code, obj, _ = run_json(capsys, "decompose", *FIG1)
     assert code == 5
     assert obj["equals_facet_ideal"] is False
     assert len(obj["primes"]) == 14 and len(obj["generators"]) == 11
+
+
+def test_cli_oracles_read_only_the_graph(capsys, monkeypatch):
+    # covers --method oracle and fvector --method brute answer from the
+    # brute-force trees, as verify's oracles do, so a listing that loses a
+    # tree changes neither answer; decompose, which holds the oracle's
+    # primes to the listing, exits 5 on it
+    oracles = [("covers", "--method", "oracle"), ("fvector", "--method", "brute")]
+    want = [run(capsys, *argv, *FIG1)[:2] for argv in oracles]
+    assert [code for code, _ in want] == [0, 0]
+    _drop_the_first_listed_tree(monkeypatch)
+    assert [run(capsys, *argv, *FIG1)[:2] for argv in oracles] == want
+    assert run(capsys, "decompose", *FIG1)[0] == 5
+
+
+def test_cli_imports_no_oracle():
+    # the CLI reaches every oracle through verify's per-instance context,
+    # so it has no route of its own to one
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            imported.add(module)
+            imported.update(f"{module}.{alias.name}".lstrip(".") for alias in node.names)
+    assert "verify" in imported
+    assert [name for name in imported if "oracle" in name.split(".")] == []
 
 
 def test_decompose_over_the_tree_search_cap(capsys):
@@ -440,6 +475,24 @@ def _run_in_1_gib(*argv):
 
 def test_face_oracle_over_its_cap_exits_3_within_1_gib():
     proc = _run_in_1_gib("fvector", "--method", "brute", "--r", "5", "--m", "6,6,6,6,6")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 1,372,105 spanning trees exceed the tree cap of 10^6
+        ("trees", "--r", "8", "--m", ",".join(["6"] * 8)),
+        ("certify", "--r", "8", "--m", ",".join(["6"] * 8)),
+        # C(36, 7) = 8,347,680 deletion candidates exceed the same cap
+        ("covers", "--method", "oracle", "--r", "7", "--m", ",".join(["6"] * 7)),
+    ],
+    ids=["trees", "certify", "covers-oracle"],
+)
+def test_listing_over_the_tree_cap_exits_3_within_1_gib(argv):
+    proc = _run_in_1_gib(*argv)
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")

@@ -1,8 +1,8 @@
 """What every CLI process pays before it does any work: the modules that
 importing the package loads, and the record types built at import.
 
-The records are named tuples (SimplicialComplex is a plain class), so the
-package never imports dataclasses, which loads inspect, ast, dis and
+The records are named tuples and the complex is a plain tuple of facet
+masks, so the package never imports dataclasses, which loads inspect, ast, dis and
 tokenize.  The benchmark's tracer still wraps RationalSeries.expand on the
 class.
 """

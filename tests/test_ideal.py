@@ -58,6 +58,21 @@ def test_facet_ideal(triangle):
     assert list(gens) == [0b011, 0b101, 0b110]
 
 
+@pytest.mark.parametrize(
+    "facets, reason",
+    [
+        ((), "at least one facet"),
+        ((0b011, -1), "negative"),
+        ((0b011, 0b101, 0b011), "duplicate"),
+        ((0b0111, 0b1001), "more than one degree"),
+    ],
+    ids=["empty", "negative", "duplicate", "mixed-sizes"],
+)
+def test_facet_ideal_rejects_bad_facet_lists(facets, reason):
+    with pytest.raises(ValueError, match=reason):
+        facet_ideal(facets)
+
+
 def test_prime_intersection_small():
     meet = intersect_primes([0b011, 0b110])
     assert meet == (0b010, 0b101)

@@ -6,9 +6,9 @@ import pytest
 from cyclechain import (
     IndexOutOfRange,
     SearchSpaceTooLarge,
-    SimplicialComplex,
     all_cycles,
     build_chain_graph,
+    enumerate_trees_characterized,
     f_vector_bruteforce,
     f_vector_exact,
     f_vector_paper,
@@ -20,40 +20,21 @@ from cyclechain.util import binom
 from cyclechain.verify import family_instances
 
 
-def _complex(ground, *facets):
-    return SimplicialComplex(ground, tuple(sum(1 << i for i in f) for f in facets))
-
-
-def test_complex_validation():
-    with pytest.raises(ValueError):
-        SimplicialComplex(3, ())
-    with pytest.raises(ValueError):
-        _complex(3, [0, 1], [0, 1])
-    with pytest.raises(ValueError):
-        _complex(4, [0, 1], [0, 1, 2])
-    with pytest.raises(ValueError, match="outside ground size 3"):
-        SimplicialComplex(3, (0b1000,))
-    with pytest.raises(ValueError, match="outside ground size 3"):
-        SimplicialComplex(3, (-1,))
-
-
-def test_complex_shape():
-    c = _complex(4, [0, 1], [1, 2], [2, 3])
-    assert c.dim == 1
-    with pytest.raises(ValueError, match="has size 2, not 3"):
-        _complex(4, [0, 1, 2], [0, 3])
+def _facets(*facets):
+    return tuple(sum(1 << i for i in f) for f in facets)
 
 
 def test_spanning_complex(fig1):
-    c = spanning_complex(fig1)
-    assert c.ground_size == 10
-    assert len(c.facets) == 11
-    assert c.dim == fig1.num_vertices - 2 == 7
+    facets = spanning_complex(fig1)
+    assert facets == enumerate_trees_characterized(fig1)
+    assert len(facets) == 11
+    assert {f.bit_count() for f in facets} == {fig1.num_vertices - 1}
+    assert max(facets) >> fig1.n == 0
 
 
 def test_bruteforce_on_tiny_complexes():
-    assert f_vector_bruteforce(_complex(3, [0, 1], [1, 2], [0, 2])) == (3, 3)
-    assert f_vector_bruteforce(_complex(3, [0, 1, 2])) == (3, 3, 1)
+    assert f_vector_bruteforce(_facets([0, 1], [1, 2], [0, 2])) == (3, 3)
+    assert f_vector_bruteforce(_facets([0, 1, 2])) == (3, 3, 1)
     # each of the 29 trees of a 29-cycle has 2^28 - 1 faces, past the 2^24 cap
     with pytest.raises(SearchSpaceTooLarge, match="cap of 16777216$"):
         f_vector_bruteforce(spanning_complex(build_chain_graph(1, [29], 0)))
@@ -161,7 +142,7 @@ def test_exact_cap_on_many_cycles():
 def test_nonfaces_characterize_faces(triangle, chain3):
     # a set is a face exactly when it contains no cycle
     for g in (triangle, chain3):
-        facets = spanning_complex(g).facets
+        facets = spanning_complex(g)
         nf = [c.edges for c in all_cycles(g)]
         for mask in range(1, 1 << g.n):
             is_face = any(mask & ~f == 0 for f in facets)
