@@ -352,7 +352,9 @@ def _parse_family(text: str) -> tuple[int, int, int]:
 
 @_reads_input
 def _parse_checks(text: str | None):
-    return verify.select_checks(text.split(",")) if text else None
+    if text is None:
+        return None
+    return verify.select_checks(text.split(",") if text else ())
 
 
 def _report_lines(rep) -> list[str]:
@@ -370,7 +372,7 @@ def cmd_verify(args) -> int:
         if cap < 0:
             raise InvalidInput(f"{flag} needs a cap >= 0, got {cap}")
     checks = _parse_checks(args.checks)
-    if args.family:
+    if args.family is not None:
         if any(v is not None for v in (args.spec, args.r, args.m, args.t)):
             raise InvalidInput("--family cannot be combined with --spec/--r/--m/--t")
         rmax, mmax, tmax = _parse_family(args.family)

@@ -176,7 +176,7 @@ def paper_ordering(g: ChainGraph, gens) -> list[int]:
                 run += 1
             else:
                 break
-        return 1 if run == g.r - 1 else g.r - run
+        return g.r - run
 
     removals = [g.full_mask ^ gen for gen in gens]
     return sorted(

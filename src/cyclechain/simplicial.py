@@ -2,23 +2,18 @@
 
 The complex is given by its facets alone: spanning_complex(g) is the tuple
 of g's spanning trees (int bitmasks), with no wrapper around it, so the
-faces are the edge sets that contain no cycle.  An f-vector is a tuple f,
-where f[i] counts the faces of size i+1 (the empty face is left out).  It
-is computed three ways:
+faces are the edge sets that contain no cycle, the forests.  An f-vector
+is a tuple f, where f[i] counts the faces of size i+1 (the empty face is
+left out).  It is computed three ways:
 
   * f_vector_bruteforce: count the faces of the downset of a tuple of
     facet masks through the face oracle's subset closure over one bitmap.
-  * f_vector_exact: inclusion-exclusion over the 2^tau cycle subsets with
-    union sizes read off the actual edge sets.  This is the normative route.
-  * f_vector_pairwise_form: the same sum, but with each union size replaced
-    by the pairwise estimate sum(|C|) - sum(|C_u & C_v|).  Higher-order
-    overlaps are ignored there, so it can drift from the exact count; the
-    comparison object records where.
-
-Both sums run through one fold that takes in one cycle at a time and keeps
-a signed subset count per key: the union mask for the exact route (233 keys
-at r = 6, against 2^21 subsets), and the estimate so far with its pending
-pair sums for the pairwise route.
+  * f_vector_exact: count the forests by size in one series-parallel fold
+    over the cycles, O(r) polynomial steps.  This is the normative route.
+  * f_vector_pairwise_form: inclusion-exclusion over the cycle subsets,
+    each union size estimated pairwise as sum(|C|) - sum(|C_u & C_v|).
+    Higher-order overlaps are ignored there, so it can drift from the
+    exact count; the comparison object records where.
 
 For r = 2 the pairwise estimate is also spelled out as the literal
 eight-term binomial expression (f_vector_r2_closed_form), which the test
@@ -54,42 +49,35 @@ def _check_subset_cap(g: ChainGraph) -> None:
         )
 
 
-def _fold_cycle_subsets(g: ChainGraph, start, cycles, step, size) -> tuple[int, ...]:
-    """f_i = sum over cycle subsets S of (-1)^|S| C(n - u, i+1 - u), where
-    u = size(key) for the key that stands for S.
-
-    Starting from {start: 1}, each cycle maps every key through
-    step(key, cycle) to the keys of its subsets without and with that cycle;
-    keys whose signed subset count cancels are dropped.
-    """
-    _check_subset_cap(g)
-    signed = {start: 1}
-    for cycle in cycles:
-        folded: dict = {}
-        for key, count in signed.items():
-            without, taken = step(key, cycle)
-            folded[without] = folded.get(without, 0) + count
-            folded[taken] = folded.get(taken, 0) - count
-        signed = {key: count for key, count in folded.items() if count}
-    coef: Counter = Counter()
-    for key, count in signed.items():
-        coef[size(key)] += count
-    return tuple(
-        sum(c * binom(g.n - u, i + 1 - u) for u, c in coef.items())
-        for i in range(g.num_vertices - 1)
-    )
+def _times_one_plus_u(p: list[int], k: int) -> list[int]:
+    """The coefficients of p(u)·(1+u)^k."""
+    for _ in range(k):
+        p = [a + b for a, b in zip(p + [0], [0] + p)]
+    return p
 
 
 def f_vector_exact(g: ChainGraph) -> tuple[int, ...]:
-    """Inclusion-exclusion with true union sizes, keyed on the union mask.
+    """The forests counted by size, in one series-parallel fold.
 
-    A size-(i+1) edge set is a face iff it contains no cycle, so
-    f_i = sum over cycle subsets S of (-1)^|S| C(n - |union S|, i+1 - |union S|).
+    The cycles form a two-terminal network.  joined counts its forests that
+    join the two ends and every counts all of them, both as coefficient
+    lists over u by size.  The network starts as one edge of cycle 1.  Each
+    cycle j adds a path of m_j - 2 edges in series, then one edge in
+    parallel: s_j for j < r, the last own edge of cycle r at the end.  A
+    forest that keeps the ends apart may take that edge, which joins them.
+    Forest edges are coloops, a factor 1 + u each.
     """
-    masks = (c.edges for c in all_cycles(g))
-    return _fold_cycle_subsets(
-        g, 0, masks, lambda union, mask: (union, union | mask), int.bit_count
-    )
+    # This fold reads no cycle subset, but keeps the pairwise form's cap and
+    # message so that fvector and hilbert exit 3 at r >= 7, as documented.
+    _check_subset_cap(g)
+    joined, every = [0, 1], [1, 1]
+    for m in g.m:
+        joined = [0] * (m - 2) + joined
+        every = _times_one_plus_u(every, m - 2)
+        bridged = [0] + [e - j for e, j in zip(every, joined)]
+        joined = [j + b for j, b in zip(joined + [0], bridged)]
+        every = [e + b for e, b in zip(every + [0], bridged)]
+    return tuple(_times_one_plus_u(every, g.t)[1 : g.num_vertices])
 
 
 class FVectorComparison(NamedTuple):
@@ -111,31 +99,40 @@ class FVectorComparison(NamedTuple):
         return not self.mismatched_indices
 
 
-def _take_pairwise(key, cycle):
-    """pending holds, for each cycle l not yet folded, the sum of
-    |C_i & C_l| over the chosen cycles i; the next cycle's is pending[0]."""
-    estimate, pending = key
-    length, overlaps = cycle
-    taken = tuple(p + o for p, o in zip(pending[1:], overlaps))
-    return (estimate, pending[1:]), (estimate + length - pending[0], taken)
-
-
 def f_vector_pairwise_form(g: ChainGraph) -> tuple[int, ...]:
     """Inclusion-exclusion with union sizes estimated pairwise only:
-    |union S| ~ sum |C| - sum over pairs |C_u & C_v|.
+    f_i = sum over cycle subsets S of (-1)^|S| C(n - u, i+1 - u), with
+    u = sum over S of |C| - sum over pairs in S of |C_u & C_v|.
 
-    What a later cycle adds depends on which cycles were chosen, not only on
-    the estimate so far, so the fold keys on (estimate, pending pair sums).
-    Folding in (start, span) order holds fewer keys than the (span, start)
-    order of all_cycles: at most 16,329 against 59,835 on (6, [3,3,4,4,5,5], 0).
+    What a later cycle adds depends on which cycles were chosen, so the fold
+    keys on (estimate, pending), where pending holds each unfolded cycle's
+    summed overlaps with the chosen ones, the next cycle's first.  Keys whose
+    signed subset count cancels are dropped.  Folding in (start, span) order
+    holds fewer keys than all_cycles' (span, start) order: at most 16,329
+    against 59,835 on (6, [3,3,4,4,5,5], 0).
     """
+    _check_subset_cap(g)
     masks = [c.edges for c in sorted(all_cycles(g), key=lambda c: c.start)]
-    later = (
-        (a.bit_count(), [(a & b).bit_count() for b in masks[k + 1 :]])
-        for k, a in enumerate(masks)
-    )
-    return _fold_cycle_subsets(
-        g, (0, (0,) * len(masks)), later, _take_pairwise, lambda key: key[0]
+    signed = {(0, (0,) * len(masks)): 1}
+    for k, a in enumerate(masks):
+        length = a.bit_count()
+        overlaps = [(a & b).bit_count() for b in masks[k + 1 :]]
+        folded: dict = {}
+        for (estimate, pending), count in signed.items():
+            without = (estimate, pending[1:])
+            taken = (
+                estimate + length - pending[0],
+                tuple(p + o for p, o in zip(pending[1:], overlaps)),
+            )
+            folded[without] = folded.get(without, 0) + count
+            folded[taken] = folded.get(taken, 0) - count
+        signed = {key: count for key, count in folded.items() if count}
+    coef: Counter = Counter()
+    for (estimate, _), count in signed.items():
+        coef[estimate] += count
+    return tuple(
+        sum(c * binom(g.n - u, i + 1 - u) for u, c in coef.items())
+        for i in range(g.num_vertices - 1)
     )
 
 

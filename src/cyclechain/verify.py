@@ -4,7 +4,7 @@ Seven checks can fail the instance:
 
     trees          characterized enumeration == brute-force enumeration
     count          count from the removal walk == Kirchhoff determinant
-    fvector        inclusion-exclusion f-vector == faces of the brute-force trees
+    fvector        series-parallel f-vector == faces of the brute-force trees
     hilbert        series expansion == HF(j) from those face counts, degrees 0..10
     covers         predicted minimal covers == exhaustive transversals
     decomposition  intersection of the oracle-cover primes == facet ideal
@@ -26,9 +26,10 @@ enumeration over its cap therefore skips all four of them as well.  The
 facet ideal (the listed trees) and the exact f-vector are kept the same
 way, built only when a selected check reads them.  More trees than the
 tree cap skip the three checks that read the facet ideal (trees,
-decomposition and cm), counted before any tree is listed; over the cycle
-subset limit the fvector and hilbert checks and the fvector_paper note,
-which share the exact f-vector, are all skipped.
+decomposition and cm), counted before any tree is listed.  The exact
+f-vector keeps the pairwise form's cycle-subset limit, so at r >= 7 the
+fvector and hilbert checks and the fvector_paper note, which share it,
+are all skipped.
 
 The same context is the one place where the CLI gets the listed trees,
 the facet ideal and the oracle answers: trees, certify and decompose read
@@ -164,7 +165,7 @@ class _Context:
         return self._once("ideal", build)
 
     def exact_fvector(self) -> tuple[int, ...]:
-        """The f-vector by inclusion-exclusion over the cycle subsets."""
+        """The f-vector from the series-parallel fold over the cycles."""
         return self._once("exact", lambda: simplicial.f_vector_exact(self.g))
 
     def oracle_trees(self) -> list[int]:
@@ -316,13 +317,19 @@ def _run(name, g, ctx) -> CheckResult:
 
 
 def select_checks(checks) -> tuple[str, ...]:
-    """The named checks in the given order, or all of them for None."""
+    """The named checks in the given order, or all of them for None;
+    ValueError for no name, an unknown name or a repeated one."""
     if checks is None:
         return CHECK_NAMES
     selected = tuple(checks)
+    if not selected:
+        raise ValueError("no checks selected")
     unknown = [c for c in selected if c not in CHECK_NAMES]
     if unknown:
         raise ValueError(f"unknown checks {unknown}; valid: {', '.join(CHECK_NAMES)}")
+    repeated = sorted({c for c in selected if selected.count(c) > 1})
+    if repeated:
+        raise ValueError(f"checks selected more than once: {repeated}")
     return selected
 
 

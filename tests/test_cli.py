@@ -348,6 +348,25 @@ def test_unreadable_arguments_exit_2(capsys):
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--r", "1", "--m", "3", "--checks", ""), "no checks selected"),
+        (("--r", "1", "--m", "3", "--checks", "cm,cm"), "more than once: ['cm']"),
+        ((*FIG1, "--checks", "count,trees,count"), "more than once: ['count']"),
+        (("--family", "1,3,0", "--checks", ""), "no checks selected"),
+        (("--family", ""), "--family expects rmax,mmax,tmax"),
+    ],
+    ids=["empty", "repeated", "repeated-apart", "family-empty", "empty-family"],
+)
+def test_verify_rejects_an_empty_or_repeated_selection(capsys, argv, message):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert message in err
+
+
 # Each spelling int() accepts, with the value it would coerce it to.
 _COERCIBLE = {"1_0": 10, "\u0663": 3, " 3": 3}
 

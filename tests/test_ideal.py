@@ -85,6 +85,20 @@ def test_prime_intersection_small():
         intersect_primes([0b0011, 0b1100], 4)
 
 
+def test_facet_ideal_of_the_empty_facet_is_the_unit_ideal():
+    # mask 0 is no variable, the generator 1; only a negative mask is refused
+    assert facet_ideal((0,)) == (0,)
+
+
+def test_prime_intersection_default_cap_is_a_million_products():
+    # 1000 singletons times a prime of 1000 (or 1001) variables; every
+    # singleton meets the prime, so the step that passes forms nothing new
+    thousand = (1 << 1000) - 1
+    assert intersect_primes([thousand, thousand]) == tuple(1 << v for v in range(1000))
+    with pytest.raises(CapacityExceeded, match="form 1001000 products"):
+        intersect_primes([thousand, (1 << 1001) - 1])
+
+
 def _reference_intersection(primes, cap, formed=None):
     """Every product of the current generators with the prime's variables,
     minimalized against each other after every prime.  The product count

@@ -14,6 +14,7 @@ from cyclechain import (
     f_vector_paper,
     f_vector_pairwise_form,
     f_vector_r2_closed_form,
+    oracle,
     spanning_complex,
 )
 from cyclechain.util import binom
@@ -91,6 +92,42 @@ def test_pairwise_form_equals_the_subset_walk():
     graphs = [build_chain_graph(r, list(m), t) for r, m, t in specs]
     for g in graphs:
         assert f_vector_pairwise_form(g) == _pairwise_subset_walk(g), g
+
+
+def _union_subset_walk(g):
+    """Inclusion-exclusion with true union sizes over all 2^tau subsets:
+    a set of k edges is a face iff it contains no cycle."""
+    masks = [c.edges for c in all_cycles(g)]
+    coef = Counter()
+    for s in range(1 << len(masks)):
+        union = 0
+        for i, mask in enumerate(masks):
+            if s >> i & 1:
+                union |= mask
+        coef[union.bit_count()] += -1 if s.bit_count() & 1 else 1
+    return tuple(
+        sum(c * binom(g.n - u, i + 1 - u) for u, c in coef.items())
+        for i in range(g.num_vertices - 1)
+    )
+
+
+def test_exact_equals_the_union_subset_walk_past_the_face_oracle():
+    # the face oracle stops at 28 edges; these have 32 to 64
+    for r, m, t in ((5, [12] * 5, 0), (4, [8] * 4, 3), (1, [64], 0), (2, [3, 61], 0)):
+        g = build_chain_graph(r, m, t)
+        assert g.n > 28
+        assert f_vector_exact(g) == _union_subset_walk(g), g
+
+
+def test_exact_ends_at_six_cycles():
+    # f_0 counts the edges and f_last the spanning trees, up to 64 edges
+    for m, t in (([8] * 6, 0), ([3, 3, 4, 4, 5, 5], 0), ([3, 12] * 3, 10), ([11] * 6, 3)):
+        g = build_chain_graph(6, m, t)
+        fv = f_vector_exact(g)
+        assert len(fv) == g.num_vertices - 1
+        assert fv[0] == g.n
+        assert fv[-1] == oracle.kirchhoff_count(g.endpoints, g.num_vertices), g
+    assert g.n == 64
 
 
 def test_pairwise_form_at_six_cycles():
