@@ -17,6 +17,11 @@ Ground-set indices follow this label order, which makes every ordering in
 the package reproducible.  A label is the string itself: g.labels[i] is
 the label of edge i, exactly as the CLI prints it.
 
+build_chain_graph lays the graph down once: it records where each cycle's
+label block starts as it lays that cycle down (ChainGraph.cycle_offsets,
+whose first r-1 entries index the shared edges), and places every forest
+edge in one loop, an edge count being its default attachment path.
+
 Besides construction, this module enumerates the composite cycles
 C_{i,...,i+k} (symmetric differences of runs of consecutive simple cycles),
 their lengths, and their pairwise intersection sizes.  Intersections are
@@ -39,7 +44,10 @@ class ChainGraph:
     """Immutable labeled chain-of-cycles graph.
 
     Instances are only built through build_chain_graph, which rejects
-    malformed parameters; the edge layout it produces is checked by the
+    malformed parameters and records, as it lays each cycle down, the
+    ground index where that cycle's own label block starts
+    (cycle_offsets); the first r-1 of them are the shared edges e_{j,1}
+    (common_edge_indices).  The edge layout it produces is checked by the
     tests against the oracles, which read only endpoints.  Equality and
     hashing use the defining data (r, m, forest attachments), so graphs
     work as dict keys.
@@ -51,12 +59,15 @@ class ChainGraph:
         m: tuple[int, ...],
         endpoints: tuple[tuple[int, int], ...],
         labels: tuple[str, ...],
+        cycle_offsets: tuple[int, ...],
         forest_attachments: tuple[int, ...],
     ):
         self.r = r
         self.m = m
         self.endpoints = endpoints
         self.labels = labels
+        self.cycle_offsets = cycle_offsets
+        self.common_edge_indices = cycle_offsets[:-1]
         self.forest_attachments = forest_attachments
         self.t = len(forest_attachments)
         self.n = len(endpoints)
@@ -78,31 +89,16 @@ class ChainGraph:
         return f"ChainGraph(r={self.r}, m={list(self.m)}, t={self.t})"
 
     @cached_property
-    def cycle_offsets(self) -> tuple[int, ...]:
-        """Ground index where each cycle's own label block starts."""
-        offs = [0]
-        for j in range(1, self.r):
-            prev_len = self.m[0] if j == 1 else self.m[j - 1] - 1
-            offs.append(offs[-1] + prev_len)
-        return tuple(offs)
-
-    @cached_property
-    def common_edge_indices(self) -> tuple[int, ...]:
-        """Ground index of e_{j,1} for j = 1..r-1, the shared edges."""
-        return tuple(self.cycle_offsets[j - 1] for j in range(1, self.r))
-
-    @cached_property
     def simple_cycle_masks(self) -> tuple[int, ...]:
-        """Edge bitmask of C_j for j = 1..r (index j-1)."""
-        masks = []
-        for j in range(1, self.r + 1):
-            off = self.cycle_offsets[j - 1]
-            own = self.m[0] if j == 1 else self.m[j - 1] - 1
-            mask = ((1 << own) - 1) << off
-            if j >= 2:
-                mask |= 1 << self.cycle_offsets[j - 2]
-            masks.append(mask)
-        return tuple(masks)
+        """Edge bitmask of C_j for j = 1..r (index j-1): its own label
+        block, which ends where the next starts (the last at n - t), plus
+        the shared edge e_{j-1,1} for j >= 2."""
+        ends = (*self.cycle_offsets[1:], self.n - self.t)
+        blocks = [(1 << e) - (1 << s) for s, e in zip(self.cycle_offsets, ends)]
+        return (
+            blocks[0],
+            *(b | 1 << i for b, i in zip(blocks[1:], self.common_edge_indices)),
+        )
 
     @cached_property
     def shared_mask(self) -> int:
@@ -130,11 +126,12 @@ def _is_int(x) -> bool:
 def build_chain_graph(r: int, m, forest=0) -> ChainGraph:
     """Construct the canonical graph for cycle lengths m and a forest.
 
-    forest is either an edge count (the default shape is a path of that
-    length hanging from the first vertex of cycle 1) or an explicit list or
-    tuple of attachment vertex ids, one per forest edge.  Each forest edge
-    connects its attachment vertex to a fresh vertex, so attachments may
-    also name vertices created by earlier forest edges.
+    forest is either an explicit list or tuple of attachment vertex ids,
+    one per forest edge, or an edge count t, which stands for the path of t
+    edges hanging from vertex 0: the attachments [0, V0, .., V0+t-2], V0
+    being the first vertex after the cycles.  Each forest edge connects its
+    attachment vertex to a fresh vertex, so attachments may also name
+    vertices created by earlier forest edges.
 
     Every number must already be an int: bools, floats and strings are
     rejected, never coerced.
@@ -154,15 +151,13 @@ def build_chain_graph(r: int, m, forest=0) -> ChainGraph:
         if forest < 0:
             raise InvalidLength(f"forest edge count must be >= 0, got {forest}")
         t = forest
-        attach_spec = None
     elif isinstance(forest, (list, tuple)):
-        attach_spec = list(forest)
-        for k, a in enumerate(attach_spec, start=1):
+        for k, a in enumerate(forest, start=1):
             if not _is_int(a):
                 raise BadAttachment(
                     f"forest edge e_{k} attaches at {a!r}, not a vertex id"
                 )
-        t = len(attach_spec)
+        t = len(forest)
     else:
         raise InvalidLength(
             f"forest must be an edge count or a list of vertex ids, got {forest!r}"
@@ -176,6 +171,7 @@ def build_chain_graph(r: int, m, forest=0) -> ChainGraph:
     labels: list[str] = []
 
     # Cycle 1 is the ring 0,1,..,m1-1 with e_{1,p} = (p-1, p mod m1).
+    offsets = [0]
     for p in range(1, m[0] + 1):
         endpoints.append((p - 1, p % m[0]))
         labels.append(f"e_{{1,{p}}}")
@@ -185,43 +181,33 @@ def build_chain_graph(r: int, m, forest=0) -> ChainGraph:
     # (ca, cb).  The first path edge becomes the next shared edge e_{j,1}.
     ca, cb = 0, 1
     for j in range(2, r + 1):
+        offsets.append(len(endpoints))
         prev = cb
-        first_new = -1
-        for p in range(1, m[j - 1]):
-            if p < m[j - 1] - 1:
-                nxt = next_vertex
-                next_vertex += 1
-            else:
-                nxt = ca
-            endpoints.append((prev, nxt))
+        for p in range(1, m[j - 1] - 1):
+            endpoints.append((prev, next_vertex))
             labels.append(f"e_{{{j},{p}}}")
-            if p == 1:
-                first_new = nxt
-            prev = nxt
-        ca, cb = cb, first_new
-
-    attachments: list[int] = []
-    if attach_spec is None:
-        anchor = 0
-        for k in range(1, t + 1):
-            endpoints.append((anchor, next_vertex))
-            labels.append(f"e_{k}")
-            attachments.append(anchor)
-            anchor = next_vertex
+            prev = next_vertex
             next_vertex += 1
-    else:
-        for k, a in enumerate(attach_spec, start=1):
-            if not 0 <= a < next_vertex:
-                raise BadAttachment(
-                    f"forest edge e_{k} attaches at vertex {a}, "
-                    f"but only vertices 0..{next_vertex - 1} exist"
-                )
-            endpoints.append((a, next_vertex))
-            labels.append(f"e_{k}")
-            attachments.append(a)
-            next_vertex += 1
+        endpoints.append((prev, ca))
+        labels.append(f"e_{{{j},{m[j - 1] - 1}}}")
+        ca, cb = cb, endpoints[offsets[-1]][1]
 
-    return ChainGraph(r, m, tuple(endpoints), tuple(labels), tuple(attachments))
+    # An edge count t stands for the path of t edges hanging from vertex 0.
+    if isinstance(forest, int):
+        forest = [0, *range(next_vertex, next_vertex + t - 1)][:t]
+    for k, a in enumerate(forest, start=1):
+        if not 0 <= a < next_vertex:
+            raise BadAttachment(
+                f"forest edge e_{k} attaches at vertex {a}, "
+                f"but only vertices 0..{next_vertex - 1} exist"
+            )
+        endpoints.append((a, next_vertex))
+        labels.append(f"e_{k}")
+        next_vertex += 1
+
+    return ChainGraph(
+        r, m, tuple(endpoints), tuple(labels), tuple(offsets), tuple(forest)
+    )
 
 
 class CompositeCycle(NamedTuple):

@@ -5,7 +5,8 @@ Seven checks can fail the instance:
     trees          characterized enumeration == brute-force enumeration
     count          count from the removal walk == Kirchhoff determinant
     fvector        series-parallel f-vector == faces of the brute-force trees
-    hilbert        series expansion == HF(j) from those face counts, degrees 0..10
+    hilbert        series expansion == HF(j) from those face counts, through
+                   degree len(h) + max(d+1, V), which proves the series equal
     covers         predicted minimal covers == exhaustive transversals
     decomposition  intersection of the oracle-cover primes == facet ideal
     cm             quotient certificate succeeds and replays
@@ -60,7 +61,6 @@ CHECK_NAMES = (
     "cm",
 )
 NOTE_NAMES = ("fvector_paper", "intersections")
-HILBERT_DEGREES = 10
 TREE_CAP = 10**6
 FACE_CAP = 1 << 24
 
@@ -228,11 +228,16 @@ def _check_fvector(g, ctx):
 
 def _check_hilbert(g, ctx):
     series = hilbert.hilbert_series(ctx.exact_fvector())
-    got = series.expand(HILBERT_DEGREES)
-    want = hilbert._hilbert_function_from_faces(ctx.face_fvector(), HILBERT_DEGREES)
+    # With D = denom_power and V vertices, past degree len(h) - D both sides
+    # are polynomials in j of degree below max(D, V), so agreeing through
+    # degree upto proves the two series equal, even when a bug changes the
+    # length of h or D.
+    upto = len(series.numerator) + max(series.denom_power, g.num_vertices)
+    got = series.expand(upto)
+    want = hilbert._hilbert_function_from_faces(ctx.face_fvector(), upto)
     if got == want:
         return "match", None
-    bad = next(j for j in range(HILBERT_DEGREES + 1) if got[j] != want[j])
+    bad = next(j for j in range(upto + 1) if got[j] != want[j])
     return "mismatch", {"expansion": got, "oracle": want, "witness_degree": bad}
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from cyclechain import (
@@ -122,6 +124,7 @@ def test_equality_and_hashing(fig1):
     star = build_chain_graph(2, [3, 4], [0, 0, 0, 0])
     assert star != fig1
     assert len({fig1, again, star}) == 2
+    assert fig1 != "fig1"
 
 
 def test_cycle_count_closed_form():
@@ -165,6 +168,14 @@ def test_intersection_formula_matches_exact(small_instances):
     for g in small_instances:
         for comp in intersection_report(g):
             assert comp.agree, (g.r, g.m, comp)
+        # the report passes the smaller span first; a swapped call predicts
+        # the same size, and the same row unless the spans are equal (rows
+        # 1 and 8 are mirror images)
+        for a, b in itertools.product(all_cycles(g), repeat=2):
+            swapped = intersection_formula(g, b, a)
+            straight = intersection_formula(g, a, b)
+            assert swapped[0] == straight[0]
+            assert a.span == b.span or swapped == straight
 
 
 def test_intersection_report_shape():

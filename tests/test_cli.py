@@ -280,6 +280,7 @@ def test_spec_file_errors(capsys, tmp_path):
         ({"r": 2, "m": [3, 4], "forest": {"attach": [0], "count": 3}}, "forest"),
         ({"r": 2, "forest": {"count": 1}}, '"m"'),
         ({"m": [3, 4]}, '"r"'),
+        ([3, 4], "graph spec must be a JSON object"),
     ],
 )
 def test_malformed_spec_is_rejected(capsys, tmp_path, spec, named):
@@ -346,6 +347,9 @@ def test_unreadable_arguments_exit_2(capsys):
         assert code == 2, argv
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    code, out, err = run(capsys, "gen", "--r", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: provide --spec FILE or both --r and --m\n"
 
 
 @pytest.mark.parametrize(

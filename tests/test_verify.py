@@ -8,6 +8,7 @@ import pytest
 
 from cyclechain import (
     build_chain_graph,
+    chain_graph,
     cohen_macaulay_verdict,
     enumerate_trees_characterized,
     facet_ideal,
@@ -21,6 +22,7 @@ from cyclechain import (
     verify_family,
     verify_instance,
 )
+from cyclechain import hilbert as hilbert_module
 from cyclechain.verify import (
     CHECK_NAMES,
     NOTE_NAMES,
@@ -182,6 +184,43 @@ def test_a_failing_certificate_is_an_inconclusive_cm_mismatch(monkeypatch, fig1)
         "step": 2,
         "mindeg": 2,
     }
+
+
+def test_a_certificate_that_does_not_replay_is_a_cm_mismatch(monkeypatch, fig1):
+    monkeypatch.setattr(ideal, "replay_certificate", lambda gens, cert: False)
+    (cm,) = verify_instance(fig1, checks=("cm",)).checks
+    assert (cm.status, cm.detail) == (
+        "mismatch", {"verdict": "certificate does not replay"},
+    )
+
+
+def test_hilbert_check_sees_a_wrong_coefficient_past_degree_10(monkeypatch):
+    # h_k first shows in degree k, so a check through degree 10 passed this
+    g = build_chain_graph(4, [5] * 4, 0)
+    real = hilbert_module.hilbert_series
+
+    def h11_plus_one(fv):
+        series = real(fv)
+        h = list(series.numerator)
+        if len(h) > 11:
+            h[11] += 1
+        return series._replace(numerator=tuple(h))
+
+    assert _statuses(verify_instance(g, checks=("hilbert",))) == {"hilbert": "match"}
+    monkeypatch.setattr(hilbert_module, "hilbert_series", h11_plus_one)
+    (check,) = verify_instance(g, checks=("hilbert",)).checks
+    assert check.status == "mismatch"
+    assert check.detail["witness_degree"] == 11
+
+
+def test_intersection_note_reports_each_pair_the_predictor_misses(monkeypatch, triangle):
+    monkeypatch.setattr(chain_graph, "intersection_formula", lambda g, a, b: (0, 9))
+    report = verify_instance(triangle, checks=("count",))
+    assert report.ok
+    (note,) = [c for c in report.notes if c.name == "intersections"]
+    assert (note.status, note.detail) == (
+        "mismatch", [{"a": [1, 0], "b": [1, 0], "exact": 3, "predicted": 0, "row": 9}],
+    )
 
 
 def test_capped_face_oracle_skips_both_checks_after_one_call(monkeypatch, fig1):
